@@ -143,8 +143,8 @@ func BenchmarkFigures(b *testing.B) {
 }
 
 // BenchmarkFigureRegen measures regenerating the complete set of paper
-// tables and figures once — the serve daemon's warmup workload on a
-// cold cache.
+// tables and figures once with the memo off, so every figure computes
+// its own sub-analyses (Warmup would compute each shared one once).
 func BenchmarkFigureRegen(b *testing.B) {
 	d := benchData(b).Figures()
 	b.ResetTimer()

@@ -124,10 +124,9 @@ func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Resu
 	if cfg.MaxDepth == 0 {
 		// Deep, permissive growth: the environmental effects live
 		// several splits below the dominant hardware/spatial factors,
-		// so rpart-default stopping would never reach them.
-		workers := cfg.Workers
-		cfg = cart.Config{MaxDepth: 8, MinSplit: 2000, MinLeaf: 700, CP: 0.00005}
-		cfg.Workers = workers
+		// so rpart-default stopping would never reach them. The
+		// caller's engine settings (workers, split policy, bins) stand.
+		cfg.MaxDepth, cfg.MinSplit, cfg.MinLeaf, cfg.CP = 8, 2000, 700, 0.00005
 	}
 	cfg.Task = cart.Regression
 
@@ -216,7 +215,8 @@ func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Resu
 	// SSE terms, large in rate terms) environmental step. Depth and leaf
 	// size keep the tree tame instead.
 	envTree, err := cart.FitContext(ctx, envFrame, "resid", []string{"dc", "temp", "rh"},
-		cart.Config{Task: cart.Regression, MaxDepth: 3, MinSplit: 3000, MinLeaf: 1200, CP: -1, Workers: cfg.Workers})
+		cart.Config{Task: cart.Regression, MaxDepth: 3, MinSplit: 3000, MinLeaf: 1200, CP: -1,
+			Workers: cfg.Workers, Split: cfg.Split, Bins: cfg.Bins})
 	if err != nil {
 		return nil, fmt.Errorf("envan: fitting env tree: %w", err)
 	}

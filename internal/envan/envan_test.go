@@ -271,3 +271,25 @@ func TestAnalyzeCustomConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeHonorsSplitPolicy pins that the caller's split policy and
+// bin cap reach both fits when AnalyzeContext supplies its own growth
+// limits: two-bin histograms must grow other trees than the exact
+// search does on the same rows.
+func TestAnalyzeHonorsSplitPolicy(t *testing.T) {
+	f := rackDayFrame(t).Filter(func(r int) bool { return r%3 == 0 })
+	exact, err := Analyze(f, cart.Config{Split: cart.SplitExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse, err := Analyze(f, cart.Config{Split: cart.SplitBinned, Bins: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coarse.Tree.String() == exact.Tree.String() {
+		t.Error("two-bin split policy did not reach the MF tree")
+	}
+	if coarse.EnvTree.String() == exact.EnvTree.String() {
+		t.Error("two-bin split policy did not reach the environment tree")
+	}
+}

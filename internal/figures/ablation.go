@@ -54,7 +54,7 @@ func (d *Data) AblationFeatures() ([]AblationRow, error) {
 				continue // no-spatial duplicates hardware-only today
 			}
 			seen[key] = true
-			sl, err := provision.AnalyzeServerLevelWith(d.Res, wl, metrics.Daily,
+			sl, err := provision.AnalyzeServerLevelWith(d.Res, d.Mu, wl, metrics.Daily,
 				[]float64{1.0}, provision.Options{Features: fs.features})
 			if err != nil {
 				return nil, err
@@ -82,7 +82,7 @@ func (d *Data) AblationAutoCP() ([]AblationRow, error) {
 			return nil, err
 		}
 		for _, auto := range []bool{false, true} {
-			sl, err := provision.AnalyzeServerLevelWith(d.Res, wl, metrics.Daily,
+			sl, err := provision.AnalyzeServerLevelWith(d.Res, d.Mu, wl, metrics.Daily,
 				[]float64{1.0}, provision.Options{AutoCP: auto})
 			if err != nil {
 				return nil, err
@@ -113,7 +113,7 @@ func (d *Data) AblationClusterBudget() ([]AblationRow, error) {
 			return nil, err
 		}
 		for _, cap := range clusterCaps {
-			sl, err := provision.AnalyzeServerLevelWith(d.Res, wl, metrics.Daily,
+			sl, err := provision.AnalyzeServerLevelWith(d.Res, d.Mu, wl, metrics.Daily,
 				[]float64{1.0}, provision.Options{MaxClusters: cap})
 			if err != nil {
 				return nil, err
@@ -134,7 +134,7 @@ func (d *Data) AblationClusterBudget() ([]AblationRow, error) {
 // lbSF returns the oracle and single-factor over-provision fractions at
 // 100% SLA daily, the endpoints against which ablations are scored.
 func (d *Data) lbSF(wl topology.Workload) (lb, sf float64, err error) {
-	sl, err := provision.AnalyzeServerLevel(d.Res, wl, metrics.Daily, []float64{1.0})
+	sl, err := provision.AnalyzeServerLevel(d.Res, d.Mu, wl, metrics.Daily, []float64{1.0})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -169,7 +169,7 @@ func (d *Data) GranularitySweep() ([]GranularityRow, error) {
 	var out []GranularityRow
 	for _, wl := range []topology.Workload{topology.W1, topology.W6} {
 		for _, g := range []metrics.Granularity{metrics.Hourly, metrics.Daily, metrics.Weekly, metrics.Monthly} {
-			sl, err := provision.AnalyzeServerLevel(d.Res, wl, g, []float64{1.0})
+			sl, err := provision.AnalyzeServerLevel(d.Res, d.Mu, wl, g, []float64{1.0})
 			if err != nil {
 				return nil, err
 			}

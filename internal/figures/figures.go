@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -101,7 +102,7 @@ func binnedBars(f *frame.Frame, key, value string, edges []float64, labels []str
 func (d *Data) Fig1() ([]CDFSeries, error) { return cached(d, "fig1", d.fig1) }
 
 func (d *Data) fig1() ([]CDFSeries, error) {
-	sl, err := provision.AnalyzeServerLevel(d.Res, topology.W1, metrics.Daily, nil)
+	sl, err := provision.AnalyzeServerLevel(d.Res, d.Mu, topology.W1, metrics.Daily, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +333,7 @@ type OverprovCell struct {
 func (d *Data) overprovFigure(g metrics.Granularity) ([]OverprovCell, error) {
 	var out []OverprovCell
 	for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-		sl, err := provision.AnalyzeServerLevel(d.Res, wl, g, nil)
+		sl, err := provision.AnalyzeServerLevel(d.Res, d.Mu, wl, g, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -373,7 +374,7 @@ func (d *Data) Fig11() ([]ClusterCDFs, error) { return cached(d, "fig11", d.fig1
 func (d *Data) fig11() ([]ClusterCDFs, error) {
 	var out []ClusterCDFs
 	for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-		sl, err := provision.AnalyzeServerLevel(d.Res, wl, metrics.Daily, nil)
+		sl, err := provision.AnalyzeServerLevel(d.Res, d.Mu, wl, metrics.Daily, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +422,7 @@ func (d *Data) Fig13() ([]CostCell, error) { return cached(d, "fig13", d.fig13) 
 func (d *Data) fig13() ([]CostCell, error) {
 	var out []CostCell
 	for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-		cl, err := provision.AnalyzeComponentLevel(d.Res, wl, metrics.Daily, tco.Default())
+		cl, err := provision.AnalyzeComponentLevel(d.Res, d.Mu, wl, metrics.Daily, tco.Default())
 		if err != nil {
 			return nil, err
 		}
@@ -491,11 +492,7 @@ func (d *Data) fig14() ([]SKUBar, error) {
 func (d *Data) Fig15() ([]SKUBar, error) { return cached(d, "fig15", d.fig15) }
 
 func (d *Data) fig15() ([]SKUBar, error) {
-	f, err := d.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	ss, err := skucmp.AnalyzeMF(f, []topology.SKU{topology.S2, topology.S4})
+	ss, err := d.PairMF()
 	if err != nil {
 		return nil, err
 	}
@@ -562,15 +559,14 @@ type Fig18Result struct {
 }
 
 // Fig18 reproduces Fig 18: HDD failures vs temperature and RH regimes as
-// identified by the MF approach.
-func (d *Data) Fig18() (*Fig18Result, error) { return cached(d, "fig18", d.fig18) }
+// identified by the MF approach. It is Fig18Context with
+// context.Background(); use that variant to make the fit cancellable.
+func (d *Data) Fig18() (*Fig18Result, error) { return d.Fig18Context(context.Background()) }
 
-func (d *Data) fig18() (*Fig18Result, error) {
-	f, err := d.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	res, err := envan.Analyze(f, cart.Config{})
+// Fig18Context is Fig18 under a context. The fit is the study's Climate
+// entry, the one Q3 reads; the figure only regroups its regimes.
+func (d *Data) Fig18Context(ctx context.Context) (*Fig18Result, error) {
+	res, err := d.Climate(ctx)
 	if err != nil {
 		return nil, err
 	}

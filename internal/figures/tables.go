@@ -141,7 +141,7 @@ func (d *Data) tableIV() ([]TCOSaving, error) {
 	var out []TCOSaving
 	for _, g := range []metrics.Granularity{metrics.Daily, metrics.Hourly} {
 		for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-			sl, err := provision.AnalyzeServerLevel(d.Res, wl, g, nil)
+			sl, err := provision.AnalyzeServerLevel(d.Res, d.Mu, wl, g, nil)
 			if err != nil {
 				return nil, err
 			}

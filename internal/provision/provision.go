@@ -151,14 +151,21 @@ const maxClusters = 10
 // down), the Q1-A view.
 var AllComponents = []failure.Component{failure.Disk, failure.DIMM, failure.ServerOther}
 
+// MuFunc supplies the per-rack μ distributions of res counting the
+// component classes comps at granularity g, as metrics.MuDistributions
+// computes them. The analyses only read what it returns, so a caller
+// may hand out one shared, memoized result (figures.Data.Mu does).
+type MuFunc func(comps []failure.Component, g metrics.Granularity) ([]metrics.WindowDist, error)
+
 // AnalyzeServerLevel runs Q1-A for a workload at the given granularity
-// with the paper's default MF configuration.
-func AnalyzeServerLevel(res *simulate.Result, wl topology.Workload, g metrics.Granularity, slas []float64) (*ServerLevel, error) {
-	return AnalyzeServerLevelWith(res, wl, g, slas, Options{})
+// with the paper's default MF configuration. mu supplies res's μ
+// distributions.
+func AnalyzeServerLevel(res *simulate.Result, mu MuFunc, wl topology.Workload, g metrics.Granularity, slas []float64) (*ServerLevel, error) {
+	return AnalyzeServerLevelWith(res, mu, wl, g, slas, Options{})
 }
 
 // AnalyzeServerLevelWith runs Q1-A with explicit MF options.
-func AnalyzeServerLevelWith(res *simulate.Result, wl topology.Workload, g metrics.Granularity, slas []float64, opts Options) (*ServerLevel, error) {
+func AnalyzeServerLevelWith(res *simulate.Result, mu MuFunc, wl topology.Workload, g metrics.Granularity, slas []float64, opts Options) (*ServerLevel, error) {
 	opts = opts.withDefaults()
 	if len(slas) == 0 {
 		slas = DefaultSLAs
@@ -167,7 +174,7 @@ func AnalyzeServerLevelWith(res *simulate.Result, wl topology.Workload, g metric
 	if len(racks) == 0 {
 		return nil, fmt.Errorf("provision: no racks host workload %v", wl)
 	}
-	dists, err := metrics.MuDistributions(res, AllComponents, g)
+	dists, err := mu(AllComponents, g)
 	if err != nil {
 		return nil, err
 	}
@@ -325,8 +332,9 @@ type ComponentLevel struct {
 	ServerCostPct map[Approach]float64
 }
 
-// AnalyzeComponentLevel runs Q1-B at 100% availability SLA.
-func AnalyzeComponentLevel(res *simulate.Result, wl topology.Workload, g metrics.Granularity, m tco.CostModel) (*ComponentLevel, error) {
+// AnalyzeComponentLevel runs Q1-B at 100% availability SLA. mu supplies
+// res's μ distributions.
+func AnalyzeComponentLevel(res *simulate.Result, mu MuFunc, wl topology.Workload, g metrics.Granularity, m tco.CostModel) (*ComponentLevel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -337,19 +345,19 @@ func AnalyzeComponentLevel(res *simulate.Result, wl topology.Workload, g metrics
 	// Resource classes: disks, DIMMs, and server-other (covered by
 	// server spares in both schemes), plus all-hardware for the
 	// server-level comparison.
-	disk, err := resourceNeeds(res, racks, []failure.Component{failure.Disk}, func(r *topology.Rack) int { return r.Disks() }, g)
+	disk, err := resourceNeeds(mu, racks, []failure.Component{failure.Disk}, func(r *topology.Rack) int { return r.Disks() }, g)
 	if err != nil {
 		return nil, err
 	}
-	dimm, err := resourceNeeds(res, racks, []failure.Component{failure.DIMM}, func(r *topology.Rack) int { return r.DIMMs() }, g)
+	dimm, err := resourceNeeds(mu, racks, []failure.Component{failure.DIMM}, func(r *topology.Rack) int { return r.DIMMs() }, g)
 	if err != nil {
 		return nil, err
 	}
-	srvOther, err := resourceNeeds(res, racks, []failure.Component{failure.ServerOther}, func(r *topology.Rack) int { return r.Servers }, g)
+	srvOther, err := resourceNeeds(mu, racks, []failure.Component{failure.ServerOther}, func(r *topology.Rack) int { return r.Servers }, g)
 	if err != nil {
 		return nil, err
 	}
-	srvAll, err := resourceNeeds(res, racks, AllComponents, func(r *topology.Rack) int { return r.Servers }, g)
+	srvAll, err := resourceNeeds(mu, racks, AllComponents, func(r *topology.Rack) int { return r.Servers }, g)
 	if err != nil {
 		return nil, err
 	}
@@ -389,8 +397,8 @@ func AnalyzeComponentLevel(res *simulate.Result, wl topology.Workload, g metrics
 }
 
 // resourceNeeds computes per-rack needs for one resource class.
-func resourceNeeds(res *simulate.Result, racks []*topology.Rack, comps []failure.Component, units func(*topology.Rack) int, g metrics.Granularity) ([]rackNeed, error) {
-	dists, err := metrics.MuDistributions(res, comps, g)
+func resourceNeeds(mu MuFunc, racks []*topology.Rack, comps []failure.Component, units func(*topology.Rack) int, g metrics.Granularity) ([]rackNeed, error) {
+	dists, err := mu(comps, g)
 	if err != nil {
 		return nil, err
 	}

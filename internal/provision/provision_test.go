@@ -3,6 +3,7 @@ package provision
 import (
 	"testing"
 
+	"rainshine/internal/failure"
 	"rainshine/internal/metrics"
 	"rainshine/internal/simulate"
 	"rainshine/internal/tco"
@@ -28,6 +29,14 @@ func testResult(t *testing.T) *simulate.Result {
 	}
 	cachedResult = res
 	return res
+}
+
+// muOf supplies res's μ distributions computed directly, as a one-shot
+// study does.
+func muOf(res *simulate.Result) MuFunc {
+	return func(comps []failure.Component, g metrics.Granularity) ([]metrics.WindowDist, error) {
+		return metrics.MuDistributions(res, comps, g)
+	}
 }
 
 func TestApproachString(t *testing.T) {
@@ -69,7 +78,7 @@ func TestAnalyzeServerLevelSandwich(t *testing.T) {
 	res := testResult(t)
 	for _, wl := range []topology.Workload{topology.W1, topology.W6} {
 		for _, g := range []metrics.Granularity{metrics.Daily, metrics.Hourly} {
-			sl, err := AnalyzeServerLevel(res, wl, g, nil)
+			sl, err := AnalyzeServerLevel(res, muOf(res), wl, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +110,7 @@ func TestAnalyzeServerLevelSandwich(t *testing.T) {
 
 func TestMFBeatsSFAt100(t *testing.T) {
 	res := testResult(t)
-	sl, err := AnalyzeServerLevel(res, topology.W1, metrics.Daily, nil)
+	sl, err := AnalyzeServerLevel(res, muOf(res), topology.W1, metrics.Daily, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +126,7 @@ func TestMFBeatsSFAt100(t *testing.T) {
 
 func TestClusteringPresent(t *testing.T) {
 	res := testResult(t)
-	sl, err := AnalyzeServerLevel(res, topology.W6, metrics.Daily, nil)
+	sl, err := AnalyzeServerLevel(res, muOf(res), topology.W6, metrics.Daily, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +148,11 @@ func TestClusteringPresent(t *testing.T) {
 
 func TestHourlyNotWorseThanDaily(t *testing.T) {
 	res := testResult(t)
-	daily, err := AnalyzeServerLevel(res, topology.W1, metrics.Daily, []float64{1.0})
+	daily, err := AnalyzeServerLevel(res, muOf(res), topology.W1, metrics.Daily, []float64{1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hourly, err := AnalyzeServerLevel(res, topology.W1, metrics.Hourly, []float64{1.0})
+	hourly, err := AnalyzeServerLevel(res, muOf(res), topology.W1, metrics.Hourly, []float64{1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +165,17 @@ func TestHourlyNotWorseThanDaily(t *testing.T) {
 
 func TestAnalyzeServerLevelErrors(t *testing.T) {
 	res := testResult(t)
-	if _, err := AnalyzeServerLevel(res, topology.W1, metrics.Daily, []float64{1.5}); err == nil {
+	if _, err := AnalyzeServerLevel(res, muOf(res), topology.W1, metrics.Daily, []float64{1.5}); err == nil {
 		t.Error("SLA > 1 should error")
 	}
-	if _, err := AnalyzeServerLevel(res, topology.W1, metrics.Daily, []float64{0}); err == nil {
+	if _, err := AnalyzeServerLevel(res, muOf(res), topology.W1, metrics.Daily, []float64{0}); err == nil {
 		t.Error("SLA 0 should error")
 	}
 }
 
 func TestTCOSavings(t *testing.T) {
 	res := testResult(t)
-	sl, err := AnalyzeServerLevel(res, topology.W6, metrics.Daily, nil)
+	sl, err := AnalyzeServerLevel(res, muOf(res), topology.W6, metrics.Daily, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +199,7 @@ func TestTCOSavings(t *testing.T) {
 
 func TestAnalyzeComponentLevel(t *testing.T) {
 	res := testResult(t)
-	cl, err := AnalyzeComponentLevel(res, topology.W1, metrics.Daily, tco.Default())
+	cl, err := AnalyzeComponentLevel(res, muOf(res), topology.W1, metrics.Daily, tco.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +225,7 @@ func TestAnalyzeComponentLevel(t *testing.T) {
 
 func TestAnalyzeComponentLevelErrors(t *testing.T) {
 	res := testResult(t)
-	if _, err := AnalyzeComponentLevel(res, topology.W1, metrics.Daily, tco.CostModel{}); err == nil {
+	if _, err := AnalyzeComponentLevel(res, muOf(res), topology.W1, metrics.Daily, tco.CostModel{}); err == nil {
 		t.Error("invalid cost model should error")
 	}
 }

@@ -27,11 +27,11 @@ func TestQ1InvariantsAcrossSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-			daily, err := AnalyzeServerLevel(res, wl, metrics.Daily, []float64{1.0})
+			daily, err := AnalyzeServerLevel(res, muOf(res), wl, metrics.Daily, []float64{1.0})
 			if err != nil {
 				t.Fatal(err)
 			}
-			hourly, err := AnalyzeServerLevel(res, wl, metrics.Hourly, []float64{1.0})
+			hourly, err := AnalyzeServerLevel(res, muOf(res), wl, metrics.Hourly, []float64{1.0})
 			if err != nil {
 				t.Fatal(err)
 			}

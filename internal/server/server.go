@@ -54,7 +54,9 @@ type Config struct {
 	Workers int
 	// Warmup materializes every table and figure of a freshly built
 	// study — through the study's worker pool — before the registry
-	// publishes it, so the first requests are served from memory.
+	// publishes it, so the first requests are served from memory. With
+	// or without it, each published study computes the sub-analyses
+	// that Q1-Q3 share only once, on first use.
 	Warmup bool
 	// Resilience tunes admission control, load shedding, the build
 	// circuit breaker, and the detached-build timeout. The zero value

@@ -13,6 +13,9 @@ import (
 	"time"
 
 	"rainshine"
+	"rainshine/internal/leakcheck"
+	"rainshine/internal/metrics"
+	"rainshine/internal/provision"
 )
 
 func TestStudyConfigKeyCanonicalization(t *testing.T) {
@@ -422,5 +425,89 @@ func TestRequestTimeout(t *testing.T) {
 	code, body := getJSON(t, ts.URL+"/v1/q3")
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("status = %d %v, want 504", code, body)
+	}
+}
+
+// TestMemoWithoutWarmup checks that a daemon started without Warmup
+// still computes each study's shared sub-analyses once: repeated q1
+// hourly and q3 reads return the same bytes as a one-shot study, the
+// study the registry published reuses its μ distributions and Q3 fit,
+// and a q3 read canceled during the fit leaves nothing behind that the
+// next read could trip over.
+func TestMemoWithoutWarmup(t *testing.T) {
+	leakcheck.Check(t)
+	const query = "seed=7&days=365&racks=60,50"
+	srv := New(Config{Logf: t.Logf})
+	serve := func(ctx context.Context, path string) (int, string) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		return rec.Code, rec.Body.String()
+	}
+	bg := context.Background()
+	if code, body := serve(bg, "/v1/quality?"+query); code != http.StatusOK {
+		t.Fatalf("building the study: %d %s", code, body)
+	}
+
+	// A q3 read whose request ends while the fit runs: the fit stops
+	// with that request's ctx error, which must not be memoized.
+	ctx, cancel := context.WithCancel(bg)
+	stop := time.AfterFunc(10*time.Millisecond, cancel)
+	defer stop.Stop()
+	if code, body := serve(ctx, "/v1/q3?"+query); code != 499 {
+		t.Fatalf("canceled q3 = %d %s, want 499", code, body)
+	}
+
+	oneShot, err := rainshine.NewStudy(rainshine.WithSeed(7), rainshine.WithDays(365), rainshine.WithRacks(60, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(rep any, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(buf) + "\n"
+	}
+	for _, c := range []struct{ path, want string }{
+		{"/v1/q1?workload=W1&hourly=true&" + query, encode(oneShot.SpareProvisioning(rainshine.W1, true))},
+		{"/v1/q3?" + query, encode(oneShot.ClimateGuidance())},
+	} {
+		for i := 0; i < 2; i++ {
+			if code, body := serve(bg, c.path); code != http.StatusOK || body != c.want {
+				t.Errorf("%s read %d = %d, body differs from the one-shot study:\n got %.200s\nwant %.200s",
+					c.path, i, code, body, c.want)
+			}
+		}
+	}
+
+	st, err := srv.reg.study(bg, StudyConfig{Seed: 7, Days: 365, Racks: [2]int{60, 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := st.ClimateGuidance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.ClimateGuidance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Tree != b.Tree {
+		t.Error("published study refit Q3 instead of reading its memo")
+	}
+	mu1, err := st.Figures().Mu(provision.AllComponents, metrics.Hourly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu2, err := st.Figures().Mu(provision.AllComponents, metrics.Hourly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &mu1[0] != &mu2[0] {
+		t.Error("published study recomputed hourly μ instead of reading its memo")
 	}
 }

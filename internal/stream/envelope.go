@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"math"
 
-	"rainshine/internal/cart"
-	"rainshine/internal/envan"
 	"rainshine/internal/figures"
 	"rainshine/internal/ingest"
 )
@@ -43,24 +41,10 @@ func nullableFloat(v float64) *float64 {
 	return &v
 }
 
-// envelopeCartConfig derives the tree-learner settings from the study
-// configuration exactly as the facade's cartConfig does, so the
-// envelope's Q3 analysis matches the batch study's.
-func envelopeCartConfig(d *figures.Data) cart.Config {
-	cfg := cart.Config{Workers: d.Res.Cfg.Workers, Bins: d.Res.Cfg.CARTBins}
-	if d.Res.Cfg.CARTExact {
-		cfg.Split = cart.SplitExact
-	}
-	return cfg
-}
-
-// BuildEnvelope computes the study envelope for d.
+// BuildEnvelope computes the study envelope for d. Its Q3 analysis is
+// d's Climate entry, the same fit the batch study's Q3 reads.
 func BuildEnvelope(ctx context.Context, d *figures.Data) (*Envelope, error) {
-	f, err := d.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	res, err := envan.AnalyzeContext(ctx, f, envelopeCartConfig(d))
+	res, err := d.Climate(ctx)
 	if err != nil {
 		return nil, err
 	}

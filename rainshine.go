@@ -235,21 +235,14 @@ func (s *Study) Figures() *figures.Data { return s.data }
 // semantics: 0 means GOMAXPROCS, 1 means serial).
 func (s *Study) workers() int { return s.data.Res.Cfg.Workers }
 
-// cartConfig assembles the tree-learner settings from the study-wide
-// options: the worker budget plus the WithBins/WithExactSplits split
-// policy.
-func (s *Study) cartConfig() cart.Config {
-	cfg := cart.Config{Workers: s.workers(), Bins: s.data.Res.Cfg.CARTBins}
-	if s.data.Res.Cfg.CARTExact {
-		cfg.Split = cart.SplitExact
-	}
-	return cfg
-}
-
 // Warmup materializes every table and figure through the study's worker
 // pool and keeps them cached, so subsequent Figures() calls are served
-// from memory. Long-lived services call this once after construction;
-// one-shot batch runs don't need it.
+// from memory. Warming also turns on the sharing of sub-analyses between
+// the figures and Q1-Q3: per-rack μ distributions, the Q3 environmental
+// fit and the S2/S4 MF comparison are each computed once, then read by
+// every later SpareProvisioning, VendorComparison and ClimateGuidance
+// call. Long-lived services call this once after construction; one-shot
+// batch runs don't need it.
 func (s *Study) Warmup(ctx context.Context) error {
 	return s.data.Warmup(ctx, s.workers())
 }
@@ -306,7 +299,7 @@ func (s *Study) SpareProvisioning(wl Workload, hourly bool) (*SpareReport, error
 	if hourly {
 		g = metrics.Hourly
 	}
-	sl, err := provision.AnalyzeServerLevel(s.data.Res, wl, g, nil)
+	sl, err := provision.AnalyzeServerLevel(s.data.Res, s.data.Mu, wl, g, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -387,12 +380,11 @@ func (s *Study) VendorComparison(priceRatios ...float64) (*VendorReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	pair := []topology.SKU{topology.S2, topology.S4}
-	sf, err := skucmp.AnalyzeSF(f, pair)
+	sf, err := skucmp.AnalyzeSF(f, []topology.SKU{topology.S2, topology.S4})
 	if err != nil {
 		return nil, err
 	}
-	mf, err := skucmp.AnalyzeMF(f, pair)
+	mf, err := s.data.PairMF()
 	if err != nil {
 		return nil, err
 	}
@@ -634,13 +626,11 @@ func (s *Study) ClimateGuidance() (*ClimateReport, error) {
 // ClimateGuidanceContext is ClimateGuidance under a context: the Q3
 // pipeline (three CART fits, PDP grids, the humidity boundary scan)
 // fans across the study's worker pool and stops early when ctx is
-// canceled — the variant the serving path uses per request.
+// canceled — the variant the serving path uses per request. On a
+// warmed study the fit is Fig 18's, computed once; a fit canceled
+// through ctx is not kept, so the next call fits afresh.
 func (s *Study) ClimateGuidanceContext(ctx context.Context) (*ClimateReport, error) {
-	f, err := s.data.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	res, err := envan.AnalyzeContext(ctx, f, s.cartConfig())
+	res, err := s.data.Climate(ctx)
 	if err != nil {
 		return nil, err
 	}

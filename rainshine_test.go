@@ -147,26 +147,34 @@ func TestSplitPolicyOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.cartConfig()
+	cfg := s.Figures().TreeConfig()
 	if cfg.Bins != 64 {
-		t.Errorf("cartConfig Bins = %d, want 64", cfg.Bins)
+		t.Errorf("TreeConfig Bins = %d, want 64", cfg.Bins)
 	}
 	if cfg.Split != cart.SplitExact {
-		t.Errorf("cartConfig Split = %v, want SplitExact", cfg.Split)
+		t.Errorf("TreeConfig Split = %v, want SplitExact", cfg.Split)
 	}
 	// Defaults: auto split selection, package-default bin cap.
 	d, err := NewStudy(WithSeed(7), WithDays(30), WithRacks(10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dc := d.cartConfig(); dc.Split != cart.SplitAuto || dc.Bins != 0 {
-		t.Errorf("default cartConfig = %+v", dc)
+	if dc := d.Figures().TreeConfig(); dc.Split != cart.SplitAuto || dc.Bins != 0 {
+		t.Errorf("default TreeConfig = %+v", dc)
 	}
 	// The small-study Q3 path is below the auto-binning threshold, so
 	// the forced-exact study must agree with the default byte for byte.
 	re, err := s.ClimateGuidance()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Fig 18 fits under the same study config as Q3.
+	fig18, err := s.Figures().Fig18()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig18.Tree.String() != re.Tree.String() {
+		t.Errorf("Fig 18 and Q3 trees differ:\n%s\n%s", fig18.Tree, re.Tree)
 	}
 	sd, err := NewStudy(WithSeed(7), WithDays(30), WithRacks(10, 10), WithBins(64))
 	if err != nil {
