@@ -353,6 +353,18 @@ func BenchmarkClimateGuidance(b *testing.B) {
 	}
 }
 
+// BenchmarkVendorComparison measures the full Q2 pipeline on the shared
+// study: the SF view, the MF standardization, the paired contrast's
+// significance tests, and the TCO verdicts.
+func BenchmarkVendorComparison(b *testing.B) {
+	s := benchData(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := s.VendorComparison()
+		benchErr(b, err)
+	}
+}
+
 // BenchmarkAblationFeatures measures the feature-subset ablation sweep.
 func BenchmarkAblationFeatures(b *testing.B) {
 	d := benchData(b).Figures()

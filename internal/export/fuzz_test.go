@@ -81,10 +81,10 @@ func FuzzTicketsCSVRoundTrip(f *testing.F) {
 // the importer cannot know it was categorical — so kind is only pinned
 // when at least one level survives.
 func FuzzTypedColumnCSVRoundTrip(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0, 1}, byte(2))       // plain typed column
-	f.Add([]byte{255, 255, 255}, byte(2))       // all-null (every code is the sentinel)
-	f.Add([]byte{0, 200, 7, 255}, byte(4))      // out-of-range codes read as missing
-	f.Add([]byte{}, byte(0))                    // no rows: importer refuses, builder too
+	f.Add([]byte{0, 1, 2, 0, 1}, byte(2))  // plain typed column
+	f.Add([]byte{255, 255, 255}, byte(2))  // all-null (every code is the sentinel)
+	f.Add([]byte{0, 200, 7, 255}, byte(4)) // out-of-range codes read as missing
+	f.Add([]byte{}, byte(0))               // no rows: importer refuses, target skips
 	f.Fuzz(func(t *testing.T, codes []byte, nLevels byte) {
 		n := len(codes)
 		if n == 0 {

@@ -51,27 +51,26 @@ func normalizeBars(bars []BarPoint) []BarPoint {
 	return bars
 }
 
-// groupBars summarizes `value` per level of categorical column `key`.
+// groupBars summarizes `value` per level of categorical column `key`
+// that keep selects (nil keeps all).
 func groupBars(f *frame.Frame, key, value string, keep func(label string) bool) ([]BarPoint, error) {
-	levels, groups, err := f.GroupValues(key, value)
+	levels, groups, err := f.GroupValues(key, value, keep)
 	if err != nil {
 		return nil, err
 	}
 	var bars []BarPoint
 	for li, lvl := range levels {
-		if keep != nil && !keep(lvl) {
-			continue
+		if g := groups[li]; len(g) > 0 {
+			bars = append(bars, summaryBar(lvl, g))
 		}
-		if len(groups[li]) == 0 {
-			continue
-		}
-		s, err := stats.Summarize(groups[li])
-		if err != nil {
-			return nil, err
-		}
-		bars = append(bars, BarPoint{Label: lvl, Mean: s.Mean, StdDev: s.StdDev, N: s.N})
 	}
 	return normalizeBars(bars), nil
+}
+
+// summaryBar is the bar of one non-empty group, its mean and spread
+// taken over the values in row order.
+func summaryBar(label string, g []float64) BarPoint {
+	return BarPoint{Label: label, Mean: stats.Mean(g), StdDev: stats.StdDev(g), N: len(g)}
 }
 
 // binnedBars summarizes `value` over bins of continuous column `key`.
@@ -294,11 +293,7 @@ func (d *Data) fig8() ([]BarPoint, error) {
 	}
 	sort.Float64s(ratings)
 	for _, p := range ratings {
-		s, err := stats.Summarize(groups[p])
-		if err != nil {
-			return nil, err
-		}
-		bars = append(bars, BarPoint{Label: fmt.Sprintf("%g", p), Mean: s.Mean, StdDev: s.StdDev, N: s.N})
+		bars = append(bars, summaryBar(fmt.Sprintf("%g", p), groups[p]))
 	}
 	return normalizeBars(bars), nil
 }

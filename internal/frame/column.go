@@ -2,13 +2,14 @@ package frame
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
-// maxTypedLevels is the widest level table the uint8 code layout can
+// MaxTypedLevels is the widest level table the uint8 code layout can
 // address while reserving at least one out-of-range code value as the
 // in-band missing sentinel (code 255 with a full 255-level table).
-const maxTypedLevels = 255
+const MaxTypedLevels = 255
 
 // Column is one typed dense column with two physical layouts:
 //
@@ -78,6 +79,47 @@ func (c *Column) Code(i int) int {
 	return int(c.Data[i])
 }
 
+// LevelIndex returns the level index stored at row i of a categorical
+// column and whether it names one of the column's levels. It is false
+// for the typed missing sentinel, any other out-of-range code, and a
+// NaN cell. Like Code it reports the stored cell only; the null bitmap
+// is not consulted.
+func (c *Column) LevelIndex(i int) (int, bool) {
+	if c.codes != nil {
+		v := int(c.codes[i])
+		return v, v < len(c.Levels)
+	}
+	v := c.Data[i]
+	if v != v { // NaN: int(NaN) is platform-defined
+		return 0, false
+	}
+	k := int(v)
+	return k, k >= 0 && k < len(c.Levels)
+}
+
+// LevelRows yields, in row order, every row of a categorical column
+// whose cell names one of its levels, with that level index: the rows
+// for which LevelIndex reports true. Scans should range over it rather
+// than call LevelIndex per row; it reads each layout's storage directly.
+func (c *Column) LevelRows() iter.Seq2[int, int] {
+	return func(yield func(row, level int) bool) {
+		n := len(c.Levels)
+		if c.codes != nil {
+			for r, v := range c.codes {
+				if int(v) < n && !yield(r, int(v)) {
+					return
+				}
+			}
+			return
+		}
+		for r, v := range c.Data {
+			if k := int(v); v == v && k >= 0 && k < n && !yield(r, k) {
+				return
+			}
+		}
+	}
+}
+
 // Values returns the column as dense float64 with every missing cell
 // (null-marked or in-band sentinel) materialized as NaN. A
 // float64-backed column with no null marks aliases Data — no copy, so
@@ -144,7 +186,7 @@ func (c *Column) MarkNull(i int) {
 func (c *Column) SetMissing(i int) {
 	c.MarkNull(i)
 	if c.codes != nil {
-		c.codes[i] = maxTypedLevels
+		c.codes[i] = MaxTypedLevels
 		return
 	}
 	c.Data[i] = math.NaN()

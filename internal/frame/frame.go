@@ -119,7 +119,7 @@ func (f *Frame) AddNominalInts(name string, codes []int, levels []string) error 
 
 func (f *Frame) addCoded(name string, kind Kind, codes []int, levels []string) error {
 	lv := append([]string(nil), levels...)
-	if len(lv) <= maxTypedLevels {
+	if len(lv) <= MaxTypedLevels {
 		cs := make([]uint8, len(codes))
 		for i, c := range codes {
 			if c < 0 || c >= len(levels) {
@@ -155,9 +155,9 @@ func (f *Frame) AddOrdinalCodes(name string, codes []uint8, levels []string) err
 }
 
 func (f *Frame) addTyped(name string, kind Kind, codes []uint8, levels []string) error {
-	if len(levels) > maxTypedLevels {
+	if len(levels) > MaxTypedLevels {
 		return fmt.Errorf("frame: column %q has %d levels, typed code columns hold at most %d",
-			name, len(levels), maxTypedLevels)
+			name, len(levels), MaxTypedLevels)
 	}
 	return f.add(Column{Name: name, Kind: kind, codes: codes, Levels: append([]string(nil), levels...)})
 }
@@ -318,7 +318,8 @@ func (f *Frame) Value(row int, name string) (float64, error) {
 
 // GroupMeans computes the mean of the value column within each level of
 // a categorical key column. Returned slices are indexed by level.
-// Levels with no rows get NaN means and zero counts.
+// Levels with no rows get NaN means and zero counts. Rows whose key
+// names no level (see Column.LevelRows) belong to no group.
 func (f *Frame) GroupMeans(key, value string) (levels []string, means []float64, counts []int, err error) {
 	kc, err := f.Col(key)
 	if err != nil {
@@ -334,8 +335,7 @@ func (f *Frame) GroupMeans(key, value string) (levels []string, means []float64,
 	n := len(kc.Levels)
 	sums := make([]float64, n)
 	counts = make([]int, n)
-	for r := 0; r < f.rows; r++ {
-		i := kc.Code(r)
+	for r, i := range kc.LevelRows() {
 		sums[i] += vc.Data[r]
 		counts[i]++
 	}
@@ -351,8 +351,11 @@ func (f *Frame) GroupMeans(key, value string) (levels []string, means []float64,
 }
 
 // GroupValues collects the value column's entries per level of a
-// categorical key column.
-func (f *Frame) GroupValues(key, value string) (levels []string, groups [][]float64, err error) {
+// categorical key column, each group in row order. keep selects the
+// levels to collect (nil keeps all); the groups of the others stay nil.
+// Rows whose key names no level (see Column.LevelRows) belong to no
+// group.
+func (f *Frame) GroupValues(key, value string, keep func(level string) bool) (levels []string, groups [][]float64, err error) {
 	kc, err := f.Col(key)
 	if err != nil {
 		return nil, nil, err
@@ -364,10 +367,28 @@ func (f *Frame) GroupValues(key, value string) (levels []string, groups [][]floa
 	if err != nil {
 		return nil, nil, err
 	}
-	groups = make([][]float64, len(kc.Levels))
-	for r := 0; r < f.rows; r++ {
-		i := kc.Code(r)
-		groups[i] = append(groups[i], vc.Data[r])
+	n := len(kc.Levels)
+	want := make([]bool, n)
+	for i, lvl := range kc.Levels {
+		want[i] = keep == nil || keep(lvl)
+	}
+	// Size every group exactly, then fill: one allocation per group.
+	counts := make([]int, n)
+	for _, i := range kc.LevelRows() {
+		if want[i] {
+			counts[i]++
+		}
+	}
+	groups = make([][]float64, n)
+	for i := range groups {
+		if counts[i] > 0 {
+			groups[i] = make([]float64, 0, counts[i])
+		}
+	}
+	for r, i := range kc.LevelRows() {
+		if want[i] {
+			groups[i] = append(groups[i], vc.Data[r])
+		}
 	}
 	return kc.Levels, groups, nil
 }

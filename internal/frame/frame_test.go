@@ -2,6 +2,7 @@ package frame
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -116,6 +117,44 @@ func TestLevelOfOutOfRange(t *testing.T) {
 	}
 }
 
+// LevelRows yields, in row order, exactly the rows whose cell names a
+// level, in both layouts, and stops when the loop breaks.
+func TestLevelRows(t *testing.T) {
+	f := New(6)
+	if err := f.AddNominalCodes("typed", []uint8{1, MaxTypedLevels, 0, 2, 1, 0}, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddColumn(Column{Name: "float", Kind: Nominal, Data: []float64{1, math.NaN(), 0, -1, 2, 1}, Levels: []string{"a", "b"}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][][2]int{
+		"typed": {{0, 1}, {2, 0}, {4, 1}, {5, 0}},
+		"float": {{0, 1}, {2, 0}, {5, 1}},
+	} {
+		c := f.MustCol(name)
+		var got, byIndex [][2]int
+		for r, l := range c.LevelRows() {
+			got = append(got, [2]int{r, l})
+		}
+		for r := 0; r < f.NumRows(); r++ {
+			if l, ok := c.LevelIndex(r); ok {
+				byIndex = append(byIndex, [2]int{r, l})
+			}
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(byIndex, want) {
+			t.Errorf("%s: LevelRows %v, LevelIndex %v, want %v", name, got, byIndex, want)
+		}
+		n := 0
+		for range c.LevelRows() {
+			n++
+			break
+		}
+		if n != 1 {
+			t.Errorf("%s: break after the first row yielded %d rows", name, n)
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if Continuous.String() != "C" || Nominal.String() != "N" || Ordinal.String() != "O" {
 		t.Error("Kind.String mismatch")
@@ -202,6 +241,34 @@ func TestGroupMeans(t *testing.T) {
 	if means[1] != 3 || counts[1] != 2 {
 		t.Errorf("S2 group = %v, %v", means[1], counts[1])
 	}
+	// A key naming no level, the typed missing sentinel or a NaN cell,
+	// belongs to no group.
+	for _, key := range []string{"typed", "float"} {
+		_, means, counts, err := missingKeyFrame(t).GroupMeans(key, "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counts[0] != 2 || means[0] != 2 || counts[1] != 1 || means[1] != 2 {
+			t.Errorf("%s key: means %v counts %v, want [2 2] [2 1]", key, means, counts)
+		}
+	}
+}
+
+// missingKeyFrame carries the same two-level key twice, typed and
+// float64-backed, with one row missing in each layout's sentinel.
+func missingKeyFrame(t *testing.T) *Frame {
+	t.Helper()
+	f := New(4)
+	if err := f.AddNominalCodes("typed", []uint8{0, MaxTypedLevels, 1, 0}, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddColumn(Column{Name: "float", Kind: Nominal, Data: []float64{0, math.NaN(), 1, 0}, Levels: []string{"a", "b"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddContinuous("v", []float64{1, 100, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func TestGroupMeansEmptyLevel(t *testing.T) {
@@ -236,20 +303,36 @@ func TestGroupMeansErrors(t *testing.T) {
 
 func TestGroupValues(t *testing.T) {
 	f := buildTestFrame(t)
-	levels, groups, err := f.GroupValues("sku", "rate")
+	levels, groups, err := f.GroupValues("sku", "rate", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(levels) != 2 || len(groups[0]) != 2 || groups[0][0] != 1 || groups[0][1] != 3 {
 		t.Errorf("groups = %v", groups)
 	}
-	if _, _, err := f.GroupValues("temp", "rate"); err == nil {
+	_, groups, err = f.GroupValues("sku", "rate", func(l string) bool { return l == "S2" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if groups[0] != nil || len(groups[1]) != 2 || groups[1][0] != 2 || groups[1][1] != 4 {
+		t.Errorf("kept S2 only: groups = %v", groups)
+	}
+	for _, key := range []string{"typed", "float"} {
+		_, groups, err := missingKeyFrame(t).GroupValues(key, "v", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups[0]) != 2 || groups[0][0] != 1 || groups[0][1] != 3 || len(groups[1]) != 1 || groups[1][0] != 2 {
+			t.Errorf("%s key: groups = %v, want [[1 3] [2]]", key, groups)
+		}
+	}
+	if _, _, err := f.GroupValues("temp", "rate", nil); err == nil {
 		t.Error("continuous key should error")
 	}
-	if _, _, err := f.GroupValues("nope", "rate"); err == nil {
+	if _, _, err := f.GroupValues("nope", "rate", nil); err == nil {
 		t.Error("missing key should error")
 	}
-	if _, _, err := f.GroupValues("sku", "nope"); err == nil {
+	if _, _, err := f.GroupValues("sku", "nope", nil); err == nil {
 		t.Error("missing value should error")
 	}
 }

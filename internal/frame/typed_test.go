@@ -34,7 +34,7 @@ func TestTypedStorageAutoEngages(t *testing.T) {
 }
 
 func TestWideLevelTableFallsBackToFloat64(t *testing.T) {
-	n := maxTypedLevels + 1 // 256 levels: codes no longer fit a byte next to the sentinel
+	n := MaxTypedLevels + 1 // 256 levels: codes no longer fit a byte next to the sentinel
 	levels := make([]string, n)
 	codes := make([]int, n)
 	for i := range levels {
@@ -86,12 +86,12 @@ func TestAddCodesAdoptsAndKeepsSentinels(t *testing.T) {
 	if f.MustCol("o").Kind != Ordinal {
 		t.Error("AddOrdinalCodes kind")
 	}
-	levels := make([]string, maxTypedLevels+1)
+	levels := make([]string, MaxTypedLevels+1)
 	for i := range levels {
 		levels[i] = string(rune(i)) + "_" + string(rune(i/256))
 	}
 	if err := f.AddNominalCodes("toowide", make([]uint8, 4), levels); err == nil {
-		t.Error("level table past maxTypedLevels must error")
+		t.Error("level table past MaxTypedLevels must error")
 	}
 }
 

@@ -159,97 +159,85 @@ type LevelEffect struct {
 // shared by all levels — so the confounders' composition no longer
 // differs between levels.
 func Standardize(f *frame.Frame, metric, of string, covariates []string) ([]LevelEffect, error) {
-	oc, err := f.Col(of)
+	oc, mc, covs, err := contrastColumns(f, metric, of, covariates)
 	if err != nil {
 		return nil, err
 	}
-	if oc.Kind == frame.Continuous {
-		return nil, fmt.Errorf("pdp: variable of interest %q must be categorical", of)
-	}
-	mc, err := f.Col(metric)
-	if err != nil {
-		return nil, err
-	}
-	if len(covariates) == 0 {
-		return nil, errors.New("pdp: need at least one covariate to standardize over")
-	}
-	covCols := make([]*frame.Column, len(covariates))
-	for i, name := range covariates {
-		c, err := f.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		if c.Kind == frame.Continuous {
-			return nil, fmt.Errorf("pdp: covariate %q is continuous; bin it first", name)
-		}
-		covCols[i] = c
-	}
-
-	// Stratum key = joint covariate levels.
-	type cell struct {
-		values map[int][]float64 // level of `of` -> metric values
-		n      int
-	}
-	strata := map[string]*cell{}
-	keyBuf := make([]byte, 0, 32)
-	for r := 0; r < f.NumRows(); r++ {
-		keyBuf = keyBuf[:0]
-		for _, c := range covCols {
-			v := c.Code(r)
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), '|')
-		}
-		k := string(keyBuf)
-		s := strata[k]
-		if s == nil {
-			s = &cell{values: map[int][]float64{}}
-			strata[k] = s
-		}
-		lvl := oc.Code(r)
-		s.values[lvl] = append(s.values[lvl], mc.Data[r])
-		s.n++
-	}
-
+	// Cells are (stratum, slot of `of`): the levels, then one slot for
+	// rows whose `of` names no level. Those rows add to their stratum's
+	// weight and count as one more level present in it.
 	nLevels := len(oc.Levels)
-	// Accumulate stratum-weighted means and per-stratum level means,
-	// visiting strata in sorted key order: the weighted sums below are
-	// float accumulations, so map iteration order would leak into the
-	// low bits of every standardized effect.
-	keys := make([]string, 0, len(strata))
-	for k := range strata {
-		keys = append(keys, k)
+	slots := nLevels + 1
+	idx, err := newStratumIndex(covs, slots)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(keys)
+	// Counting sort: cell c's metric values are vals[off[c]:off[c+1]],
+	// in row order, so every mean and quantile below sees its values in
+	// the order the rows hold them.
+	rows := f.NumRows()
+	cell := make([]int32, rows)
+	off := make([]int, idx.n*slots+1)
+	for r := 0; r < rows; r++ {
+		l, ok := oc.LevelIndex(r)
+		if !ok {
+			l = nLevels
+		}
+		c := idx.at(r)*slots + l
+		cell[r] = int32(c)
+		off[c+1]++
+	}
+	for c := 1; c < len(off); c++ {
+		off[c] += off[c-1]
+	}
+	vals := make([]float64, rows)
+	next := append([]int(nil), off[:len(off)-1]...)
+	for r, c := range cell {
+		vals[next[c]] = mc.Data[r]
+		next[c]++
+	}
+
+	// Accumulate stratum-weighted means and per-stratum level means,
+	// visiting strata in index order: the weighted sums below are float
+	// accumulations, so their order is part of every standardized
+	// effect's low bits.
 	wSum := make([]float64, nLevels)
 	wTot := make([]float64, nLevels)
 	perStratumMeans := make([][]float64, nLevels)
 	perStratumPeaks := make([][]float64, nLevels)
 	nobs := make([]int, nLevels)
 	strataCount := make([]int, nLevels)
-	for _, k := range keys {
-		s := strata[k]
-		if len(s.values) < 2 {
+	for s := 0; s < idx.n; s++ {
+		cells := off[s*slots : (s+1)*slots+1]
+		present := 0
+		for l := 0; l < slots; l++ {
+			if cells[l+1] > cells[l] {
+				present++
+			}
+		}
+		if present < 2 {
 			// Stratum observes only one level: it cannot inform a
 			// within-stratum contrast, so it is dropped (the paper's
 			// tree path likewise conditions on contexts where the
 			// decision variable actually varies).
 			continue
 		}
-		w := float64(s.n)
+		w := float64(cells[slots] - cells[0])
 		for lvl := 0; lvl < nLevels; lvl++ {
-			vals := s.values[lvl]
-			if len(vals) == 0 {
+			vs := vals[cells[lvl]:cells[lvl+1]]
+			if len(vs) == 0 {
 				continue
 			}
-			m := stats.Mean(vals)
+			m := stats.Mean(vs)
 			wSum[lvl] += w * m
 			wTot[lvl] += w
 			perStratumMeans[lvl] = append(perStratumMeans[lvl], m)
-			pk, err := stats.Quantile(vals, 0.95)
+			pk, err := stats.Quantile(vs, 0.95)
 			if err != nil {
 				return nil, err
 			}
 			perStratumPeaks[lvl] = append(perStratumPeaks[lvl], pk)
-			nobs[lvl] += len(vals)
+			nobs[lvl] += len(vs)
 			strataCount[lvl]++
 		}
 	}
@@ -285,12 +273,9 @@ func Standardize(f *frame.Frame, metric, of string, covariates []string) ([]Leve
 // significance test quantifies "the influence of this parameter after
 // normalization" (Section V-C).
 func PairedContrast(f *frame.Frame, metric, of, levelA, levelB string, covariates []string) ([]float64, error) {
-	oc, err := f.Col(of)
+	oc, mc, covs, err := contrastColumns(f, metric, of, covariates)
 	if err != nil {
 		return nil, err
-	}
-	if oc.Kind == frame.Continuous {
-		return nil, fmt.Errorf("pdp: variable of interest %q must be categorical", of)
 	}
 	idxA, idxB := -1, -1
 	for i, lvl := range oc.Levels {
@@ -304,74 +289,127 @@ func PairedContrast(f *frame.Frame, metric, of, levelA, levelB string, covariate
 	if idxA < 0 || idxB < 0 {
 		return nil, fmt.Errorf("pdp: levels %q/%q not found in %q", levelA, levelB, of)
 	}
-	mc, err := f.Col(metric)
+	idx, err := newStratumIndex(covs, 2)
 	if err != nil {
 		return nil, err
 	}
-	if len(covariates) == 0 {
-		return nil, errors.New("pdp: need at least one covariate to stratify")
+	// Per stratum s: sum[2s], n[2s] for level A; sum[2s+1], n[2s+1] for B.
+	sum := make([]float64, 2*idx.n)
+	n := make([]int, 2*idx.n)
+	add := func(r, side int) {
+		c := 2*idx.at(r) + side
+		sum[c] += mc.Data[r]
+		n[c]++
 	}
-	covCols := make([]*frame.Column, len(covariates))
-	for i, name := range covariates {
-		c, err := f.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		if c.Kind == frame.Continuous {
-			return nil, fmt.Errorf("pdp: covariate %q is continuous; bin it first", name)
-		}
-		covCols[i] = c
-	}
-	type cell struct {
-		sumA, sumB float64
-		nA, nB     int
-	}
-	strata := map[string]*cell{}
-	keyBuf := make([]byte, 0, 32)
-	for r := 0; r < f.NumRows(); r++ {
-		lvl := oc.Code(r)
-		if lvl != idxA && lvl != idxB {
-			continue
-		}
-		keyBuf = keyBuf[:0]
-		for _, c := range covCols {
-			v := c.Code(r)
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), '|')
-		}
-		k := string(keyBuf)
-		s := strata[k]
-		if s == nil {
-			s = &cell{}
-			strata[k] = s
-		}
-		if lvl == idxA {
-			s.sumA += mc.Data[r]
-			s.nA++
-		} else {
-			s.sumB += mc.Data[r]
-			s.nB++
+	for r, lvl := range oc.LevelRows() {
+		switch lvl {
+		case idxA:
+			add(r, 0)
+		case idxB:
+			add(r, 1)
 		}
 	}
-	// Emit the per-stratum differences in sorted key order: the paired
-	// tests downstream sum them, and float addition order would
-	// otherwise vary with map iteration.
-	keys := make([]string, 0, len(strata))
-	for k := range strata {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	// Emit the per-stratum differences in index order: the paired tests
+	// downstream sum them, so their order is part of the result.
 	var diffs []float64
-	for _, k := range keys {
-		s := strata[k]
-		if s.nA == 0 || s.nB == 0 {
+	for c := 0; c < len(n); c += 2 {
+		if n[c] == 0 || n[c+1] == 0 {
 			continue
 		}
-		diffs = append(diffs, s.sumA/float64(s.nA)-s.sumB/float64(s.nB))
+		diffs = append(diffs, sum[c]/float64(n[c])-sum[c+1]/float64(n[c+1]))
 	}
 	if len(diffs) == 0 {
 		return nil, errors.New("pdp: no stratum observes both levels")
 	}
 	return diffs, nil
+}
+
+// contrastColumns resolves and checks the columns a stratified estimator
+// reads: the categorical variable of interest, the float64 metric, and
+// at least one categorical covariate.
+func contrastColumns(f *frame.Frame, metric, of string, covariates []string) (oc, mc *frame.Column, covs []*frame.Column, err error) {
+	if oc, err = f.Col(of); err != nil {
+		return nil, nil, nil, err
+	}
+	if oc.Kind == frame.Continuous {
+		return nil, nil, nil, fmt.Errorf("pdp: variable of interest %q must be categorical", of)
+	}
+	if mc, err = f.Col(metric); err != nil {
+		return nil, nil, nil, err
+	}
+	if mc.Data == nil {
+		return nil, nil, nil, fmt.Errorf("pdp: metric %q must hold float64 values", metric)
+	}
+	if len(covariates) == 0 {
+		return nil, nil, nil, errors.New("pdp: need at least one covariate to stratify over")
+	}
+	covs = make([]*frame.Column, len(covariates))
+	for i, name := range covariates {
+		c, err := f.Col(name)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if c.Kind == frame.Continuous {
+			return nil, nil, nil, fmt.Errorf("pdp: covariate %q is continuous; bin it first", name)
+		}
+		covs[i] = c
+	}
+	return oc, mc, covs, nil
+}
+
+// maxCells bounds the dense table an estimator keeps: strata times the
+// level slots it tracks per stratum. The MF standardization needs 504
+// strata × 8 slots.
+const maxCells = 1 << 20
+
+// stratumIndex numbers the strata the covariates span, densely and in
+// mixed radix (DESIGN §6). Each covariate is one digit: its level index,
+// with every code that names no level (the typed missing sentinel, any
+// other out-of-range code, a NaN cell) in one extra slot. The first
+// covariate is the most significant digit, so index order is the
+// lexicographic order of the level tuples, and the estimators' float
+// sums run in that fixed order.
+type stratumIndex struct {
+	digits []stratumDigit
+	n      int // number of strata: the product of the radices
+}
+
+type stratumDigit struct {
+	col    *frame.Column
+	levels int // the extra slot's value
+	stride int
+}
+
+// newStratumIndex builds the index over categorical covariates, refusing
+// one whose strata times the caller's level slots exceed maxCells.
+func newStratumIndex(covs []*frame.Column, slots int) (stratumIndex, error) {
+	idx := stratumIndex{digits: make([]stratumDigit, len(covs)), n: 1}
+	cells := slots
+	for i := len(covs) - 1; i >= 0; i-- {
+		c := covs[i]
+		radix := len(c.Levels) + 1
+		if cells > maxCells/radix {
+			return stratumIndex{}, fmt.Errorf("pdp: covariates span more than %d cells of strata by levels; coarsen them", maxCells)
+		}
+		cells *= radix
+		idx.digits[i] = stratumDigit{col: c, levels: len(c.Levels), stride: idx.n}
+		idx.n *= radix
+	}
+	return idx, nil
+}
+
+// at returns row r's stratum.
+func (s *stratumIndex) at(r int) int {
+	k := 0
+	for i := range s.digits {
+		d := &s.digits[i]
+		v, ok := d.col.LevelIndex(r)
+		if !ok {
+			v = d.levels
+		}
+		k += v * d.stride
+	}
+	return k
 }
 
 // BinContinuous adds a categorical companion column binning a continuous
@@ -392,15 +430,25 @@ func BinContinuous(f *frame.Frame, name string, edges []float64) (string, error)
 	for i := range labels {
 		labels[i] = fmt.Sprintf("%g-%g", edges[i], edges[i+1])
 	}
-	codes := make([]int, f.NumRows())
-	for r, v := range c.Data {
-		codes[r] = binIndex(edges, v)
-	}
 	binName := name + "_bin"
 	// In-place attachment is this helper's documented contract; callers
 	// that hold a shared frame ShallowClone before calling (see skucmp).
-	//lint:allow frameclone BinContinuous is the documented in-place binning mutator
-	if err := f.AddNominalInts(binName, codes, labels); err != nil {
+	if len(labels) <= frame.MaxTypedLevels {
+		codes := make([]uint8, f.NumRows())
+		for r, v := range c.Data {
+			codes[r] = uint8(binIndex(edges, v))
+		}
+		//lint:allow frameclone BinContinuous is the documented in-place binning mutator
+		err = f.AddNominalCodes(binName, codes, labels)
+	} else {
+		codes := make([]int, f.NumRows())
+		for r, v := range c.Data {
+			codes[r] = binIndex(edges, v)
+		}
+		//lint:allow frameclone BinContinuous is the documented in-place binning mutator
+		err = f.AddNominalInts(binName, codes, labels)
+	}
+	if err != nil {
 		return "", err
 	}
 	return binName, nil

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -80,17 +81,24 @@ func parseQ1Params(q url.Values) (rainshine.Workload, bool, error) {
 	return wl, hourly, nil
 }
 
-// parseRatios extracts Q2's price-ratio list ("1.0,1.5" by default).
+// maxRatios caps the price ratios one Q2 request may evaluate.
+const maxRatios = 16
+
+// parseRatios extracts Q2's price-ratio list ("1.0,1.5" by default): at
+// most maxRatios positive, finite numbers.
 func parseRatios(q url.Values) ([]float64, error) {
 	v := q.Get("ratios")
 	if v == "" {
 		return nil, nil // VendorComparison applies its own default
 	}
+	if strings.Count(v, ",") >= maxRatios {
+		return nil, fmt.Errorf("bad ratios: at most %d values", maxRatios)
+	}
 	var out []float64
 	for _, part := range strings.Split(v, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f <= 0 {
-			return nil, fmt.Errorf("bad ratios %q: want positive numbers", v)
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("bad ratios %q: want positive finite numbers", v)
 		}
 		out = append(out, f)
 	}

@@ -290,12 +290,18 @@ func TestParseRatios(t *testing.T) {
 	if rs, err = parseRatios(url.Values{}); err != nil || rs != nil {
 		t.Errorf("default: %v %v", rs, err)
 	}
-	for _, v := range []string{"0", "-1", "x", "1.0,,2"} {
+	for _, v := range []string{"0", "-1", "x", "1.0,,2", "inf", "+Inf", "NaN", "1," + tooManyRatios} {
 		if _, err := parseRatios(url.Values{"ratios": {v}}); err == nil {
 			t.Errorf("parseRatios(%q) should error", v)
 		}
 	}
+	if rs, err := parseRatios(url.Values{"ratios": {tooManyRatios[2:]}}); err != nil || len(rs) != maxRatios {
+		t.Errorf("%d ratios: got %d, %v", maxRatios, len(rs), err)
+	}
 }
+
+// tooManyRatios is a ratio list one longer than maxRatios.
+var tooManyRatios = strings.Repeat("1,", maxRatios) + "1"
 
 func TestMetricsLatencyQuantiles(t *testing.T) {
 	m := NewMetrics()
@@ -360,6 +366,9 @@ func TestBadParamsAre400(t *testing.T) {
 		"/v1/q1?racks=0,10",
 		"/v1/q1?workload=W9",
 		"/v1/q2?ratios=-1",
+		"/v1/q2?ratios=inf",
+		"/v1/q2?ratios=NaN",
+		"/v1/q2?ratios=" + tooManyRatios,
 		"/v1/q3?days=bogus",
 		"/v1/predict?seed=-3",
 		"/v1/quality?faults=perhaps",

@@ -43,26 +43,23 @@ type Stats struct {
 // with no adjustment. f must be a rack-day frame with "sku" and
 // "failures" columns.
 func AnalyzeSF(f *frame.Frame, skus []topology.SKU) ([]Stats, error) {
-	levels, groups, err := f.GroupValues("sku", "failures")
+	var keep func(string) bool
+	if len(skus) > 0 {
+		want := make(map[string]bool, len(skus))
+		for _, s := range skus {
+			want[s.String()] = true
+		}
+		keep = func(lvl string) bool { return want[lvl] }
+	}
+	levels, groups, err := f.GroupValues("sku", "failures", keep)
 	if err != nil {
 		return nil, err
 	}
-	want := make(map[string]bool, len(skus))
-	for _, s := range skus {
-		want[s.String()] = true
-	}
 	var out []Stats
 	for li, lvl := range levels {
-		if len(want) > 0 && !want[lvl] {
-			continue
-		}
 		g := groups[li]
 		if len(g) == 0 {
 			continue
-		}
-		sum, err := stats.Summarize(g)
-		if err != nil {
-			return nil, err
 		}
 		peak, err := stats.Quantile(g, 0.999)
 		if err != nil {
@@ -70,10 +67,10 @@ func AnalyzeSF(f *frame.Frame, skus []topology.SKU) ([]Stats, error) {
 		}
 		out = append(out, Stats{
 			SKU:    lvl,
-			Avg:    sum.Mean,
+			Avg:    stats.Mean(g),
 			Peak:   peak,
-			StdDev: sum.StdDev,
-			N:      sum.N,
+			StdDev: stats.StdDev(g),
+			N:      len(g),
 		})
 	}
 	if len(out) == 0 {
