@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-fix-check test race bench bench-fleet bench-fleet-check bench-fleet-multicore stream-replay stream-replay-check serve-load soak repro outputs examples fuzz clean
+.PHONY: all build vet lint lint-fix lint-fix-check test race bench bench-fleet bench-fleet-check bench-fleet-multicore stream-replay stream-replay-check serve-load soak repro golden outputs examples fuzz clean
 
 all: build vet lint test
 
@@ -121,6 +121,17 @@ soak:
 # Regenerate every paper table and figure at full scale (seed 42).
 repro:
 	$(GO) run ./cmd/rainshine all
+
+# Rewrite the seed-42 paper goldens from the CLI: `-exact all` into
+# docs/paper_run_seed42.txt, and ablate, pooling, opex and predict,
+# joined by blank lines, into docs/extensions_seed42.txt.
+# TestPaperGolden (cmd/rainshine) compares the CLI against both; run
+# this when a change moves the outputs on purpose.
+golden:
+	$(GO) build -o bin/rainshine ./cmd/rainshine
+	bin/rainshine -exact all > docs/paper_run_seed42.txt
+	{ bin/rainshine ablate && echo && bin/rainshine pooling && echo && \
+		bin/rainshine opex && echo && bin/rainshine predict; } > docs/extensions_seed42.txt
 
 # Record the canonical outputs referenced by EXPERIMENTS.md.
 outputs:

@@ -343,7 +343,7 @@ func BenchmarkRackDayFrame(b *testing.B) {
 
 // BenchmarkClimateGuidance measures the full Q3 pipeline on the shared
 // study: MF fit, baseline fit, residual environment tree, hot-regime RH
-// scan, PDP grids, and per-DC group rates.
+// scan, and per-DC group rates.
 func BenchmarkClimateGuidance(b *testing.B) {
 	s := benchData(b)
 	b.ResetTimer()
@@ -462,19 +462,6 @@ func BenchmarkCrossValidate(b *testing.B) {
 // carries the GOMAXPROCS it ran under, and gates only fire when the
 // recorded entry was measured at the same parallelism (Doc.Budget).
 
-// prePresortBaselines returns the serial numbers recorded at commit
-// e2fc823, before the presorted exact engine landed. The harness of
-// that era did not persist iteration counts, so n stays 0 with a note
-// saying why — the numbers themselves remain the before/after record.
-func prePresortBaselines() map[string]benchsnap.Result {
-	const note = "pre-presort engine, commit e2fc823; harness predated n persistence"
-	return map[string]benchsnap.Result{
-		"pre_presort_cart_fit_20k":        {NsPerOp: 15598789, BytesPerOp: 3341797, AllocsPerOp: 632, Note: note},
-		"pre_presort_cart_crossvalidate":  {NsPerOp: 769345, BytesPerOp: 357633, AllocsPerOp: 2051, Note: note},
-		"pre_presort_q3_climate_guidance": {NsPerOp: 352200698, BytesPerOp: 67588568, AllocsPerOp: 7457, Note: note},
-	}
-}
-
 // TestBenchAnalysis snapshots the hot-path benchmarks (CART fit,
 // cross-validation, the Q3 pipeline, figure regeneration, predictor
 // training) to the JSON file named by RAINSHINE_BENCH_OUT, so `make
@@ -498,9 +485,6 @@ func TestBenchAnalysis(t *testing.T) {
 	doc, err := benchsnap.Read(out)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for name, base := range prePresortBaselines() {
-		doc.Baselines[name] = base
 	}
 	for _, m := range marks {
 		r := testing.Benchmark(m.fn)

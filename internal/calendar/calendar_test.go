@@ -82,3 +82,68 @@ func TestWeekOfYear(t *testing.T) {
 		t.Errorf("WeekNames = %v...", names[:2])
 	}
 }
+
+// reference computes the calendar fields through package time: the
+// oracle the integer arithmetic is held to.
+func reference(day int) (weekday, month, yearIndex, dayOfYear int) {
+	t := Date(day)
+	return int(t.Weekday()), int(t.Month()) - 1, t.Year() - Epoch.Year(), t.YearDay() - 1
+}
+
+// TestCalendarMatchesTime compares every calendar field with the
+// package-time reference for every day from 1190 to 2833: negative
+// days, the century years 1900 (common), 2000 (leap) and 2100
+// (common), and 29 February of every leap year in between.
+func TestCalendarMatchesTime(t *testing.T) {
+	const lo, hi = -300000, 300000
+	leapDays := map[int]bool{}
+	for day := lo; day <= hi; day++ {
+		wd, m, y, doy := reference(day)
+		if got := Weekday(day); got != wd {
+			t.Fatalf("Weekday(%d) = %d, want %d", day, got, wd)
+		}
+		if got := Month(day); got != m {
+			t.Fatalf("Month(%d) = %d, want %d", day, got, m)
+		}
+		if got := YearIndex(day); got != y {
+			t.Fatalf("YearIndex(%d) = %d, want %d", day, got, y)
+		}
+		if got := DayOfYear(day); got != doy {
+			t.Fatalf("DayOfYear(%d) = %d, want %d", day, got, doy)
+		}
+		if got, want := IsWeekend(day), wd == 0 || wd == 6; got != want {
+			t.Fatalf("IsWeekend(%d) = %t, want %t", day, got, want)
+		}
+		if got, want := WeekOfYear(day), min(doy/7, 52); got != want {
+			t.Fatalf("WeekOfYear(%d) = %d, want %d", day, got, want)
+		}
+		if d := Date(day); d.Month() == time.February && d.Day() == 29 {
+			leapDays[d.Year()] = true
+		}
+	}
+	first, last := Date(lo).Year(), Date(hi).Year()
+	if first >= 1900 || last <= 2100 {
+		t.Fatalf("window %d-%d misses a century year", first, last)
+	}
+	for y := first + 1; y < last; y++ {
+		leap := time.Date(y, time.February, 29, 0, 0, 0, 0, time.UTC).Month() == time.February
+		if leap != leapDays[y] {
+			t.Errorf("year %d: leap %t, saw 29 Feb %t", y, leap, leapDays[y])
+		}
+	}
+	for y, leap := range map[int]bool{1900: false, 2000: true, 2100: false} {
+		if leapDays[y] != leap {
+			t.Errorf("year %d: saw 29 Feb %t, want %t", y, leapDays[y], leap)
+		}
+	}
+}
+
+func BenchmarkMonth(b *testing.B) {
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += Month(i % 930)
+	}
+	if sum < 0 {
+		b.Fatal(sum)
+	}
+}

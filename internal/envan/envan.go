@@ -19,7 +19,6 @@ import (
 	"rainshine/internal/cart"
 	"rainshine/internal/frame"
 	"rainshine/internal/parallel"
-	"rainshine/internal/pdp"
 	"rainshine/internal/stats"
 )
 
@@ -82,10 +81,6 @@ type Result struct {
 	EnvTree    *cart.Tree
 	Thresholds Thresholds
 	Groups     []GroupRates // one per DC
-	// PDP holds partial-dependence curves of the residual failure rate
-	// over the environmental axes ("temp", "rh"): the marginalized view
-	// of the same effects the thresholds binarize.
-	PDP map[string][]pdp.Point
 	// DroppedFeatures lists candidate factors the frame did not carry
 	// (dirty external tables): the analysis degraded to the rest.
 	DroppedFeatures []string
@@ -116,10 +111,10 @@ func Analyze(f *frame.Frame, cfg cart.Config) (*Result, error) {
 	return AnalyzeContext(context.Background(), f, cfg)
 }
 
-// AnalyzeContext is Analyze under a context: the stage-1 fits, the PDP
-// grids, the hot-regime humidity scan, and the per-DC regime summaries
-// all fan across cfg.Workers goroutines (0 means GOMAXPROCS, 1 forces
-// the serial path), with results identical for every worker count.
+// AnalyzeContext is Analyze under a context: the stage-1 fits, the
+// hot-regime humidity scan, and the per-DC regime summaries all fan
+// across cfg.Workers goroutines (0 means GOMAXPROCS, 1 forces the
+// serial path), with results identical for every worker count.
 func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Result, error) {
 	if cfg.MaxDepth == 0 {
 		// Deep, permissive growth: the environmental effects live
@@ -236,24 +231,8 @@ func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Resu
 		}
 	}
 
-	// Marginalized view of the same effects: partial-dependence curves of
-	// the residual rate over each environmental axis, one worker each
-	// (and each curve's grid fans out in turn).
-	pdpFeats := []string{"temp", "rh"}
-	grids, err := parallel.Map(ctx, cfg.Workers, len(pdpFeats), func(i int) ([]pdp.Point, error) {
-		return pdp.ComputeContext(ctx, envTree, envFrame, pdpFeats[i], 20, cfg.Workers)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("envan: pdp: %w", err)
-	}
-	pdpCurves := make(map[string][]pdp.Point, len(pdpFeats))
-	for i, name := range pdpFeats {
-		pdpCurves[name] = grids[i]
-	}
-
 	res := &Result{
 		Tree: tree, EnvTree: envTree, Thresholds: th,
-		PDP:             pdpCurves,
 		DroppedFeatures: mergeUnique(droppedMF, droppedBase),
 		RowsUsed:        f.NumRows(),
 		RowsDropped:     allRows - f.NumRows(),

@@ -19,7 +19,6 @@
 package pdp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -27,7 +26,6 @@ import (
 
 	"rainshine/internal/cart"
 	"rainshine/internal/frame"
-	"rainshine/internal/parallel"
 	"rainshine/internal/stats"
 )
 
@@ -44,16 +42,8 @@ type Point struct {
 // Compute evaluates the partial dependence of tree's response on the
 // named feature over frame f. For a continuous feature the curve is
 // evaluated at up to gridSize quantile-spaced points; for categorical
-// features at every level. Compute is ComputeContext with
-// context.Background() and a single worker.
+// features at every level.
 func Compute(tree *cart.Tree, f *frame.Frame, feature string, gridSize int) ([]Point, error) {
-	return ComputeContext(context.Background(), tree, f, feature, gridSize, 1)
-}
-
-// ComputeContext is Compute with the grid points fanned across workers.
-// Each point owns its slot of the curve and keeps the serial row-sum
-// order, so the curve is identical for every worker count.
-func ComputeContext(ctx context.Context, tree *cart.Tree, f *frame.Frame, feature string, gridSize, workers int) ([]Point, error) {
 	if gridSize <= 0 {
 		gridSize = 20
 	}
@@ -89,8 +79,8 @@ func ComputeContext(ctx context.Context, tree *cart.Tree, f *frame.Frame, featur
 		}
 		cols[i] = c.Values()
 	}
-	err = parallel.ForEach(ctx, workers, len(grid), func(gi int) error {
-		x := make([]float64, len(cols))
+	x := make([]float64, len(cols))
+	for gi := range grid {
 		sum := 0.0
 		for r := 0; r < f.NumRows(); r++ {
 			for i, c := range cols {
@@ -99,15 +89,11 @@ func ComputeContext(ctx context.Context, tree *cart.Tree, f *frame.Frame, featur
 			x[fi] = grid[gi].Value
 			p, err := tree.Predict(x)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			sum += p
 		}
 		grid[gi].Effect = sum / float64(f.NumRows())
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return grid, nil
 }

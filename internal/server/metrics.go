@@ -42,14 +42,14 @@ func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now(), endpoints: map[string]*endpointStats{}}
 }
 
-// Observe records one request against path.
-func (m *Metrics) Observe(path string, d time.Duration, isErr bool) {
+// Observe records one request against route.
+func (m *Metrics) Observe(route string, d time.Duration, isErr bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.endpoints[path]
+	e := m.endpoints[route]
 	if e == nil {
 		e = &endpointStats{lat: make([]float64, 0, 64)}
-		m.endpoints[path] = e
+		m.endpoints[route] = e
 	}
 	e.count++
 	if isErr {

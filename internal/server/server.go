@@ -29,6 +29,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"rainshine"
@@ -103,6 +104,7 @@ type Server struct {
 	breaker  *resilience.Breaker
 	chaos    *chaosState // nil when chaos mode is off
 	follower *follower   // nil when no stream is attached
+	routes   *http.ServeMux
 	handler  http.Handler
 }
 
@@ -167,6 +169,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/q3", s.handleQ3)
 	mux.HandleFunc("GET /v1/predict", s.handlePredict)
 	mux.HandleFunc("GET /v1/quality", s.handleQuality)
+	s.routes = mux
 	// Middleware, outermost first: metrics see every request including
 	// sheds; panics become 500s; the request deadline starts before
 	// admission so queue waits are bounded by it; admission sheds
@@ -238,14 +241,28 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// instrument records per-endpoint counts and latency.
+// unmatchedRoute is the one metrics key for every request that matches
+// no route (404 or 405), so probing unknown paths cannot grow /metricz.
+const unmatchedRoute = "unmatched"
+
+// instrument records per-route counts and latency.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := s.now()
 		next.ServeHTTP(rec, r)
-		s.metrics.Observe(r.URL.Path, s.now().Sub(start), rec.status >= 400)
+		s.metrics.Observe(s.routeKey(r), s.now().Sub(start), rec.status >= 400)
 	})
+}
+
+// routeKey names the route r matches: the path part of its mux pattern
+// ("GET /v1/q3" is "/v1/q3"), or unmatchedRoute.
+func (s *Server) routeKey(r *http.Request) string {
+	_, pattern := s.routes.Handler(r)
+	if pattern == "" {
+		return unmatchedRoute
+	}
+	return pattern[strings.IndexByte(pattern, ' ')+1:]
 }
 
 // recover converts handler panics into 500s instead of killing the

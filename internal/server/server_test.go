@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -408,6 +409,47 @@ func TestUnknownRouteAndMethod(t *testing.T) {
 	}
 }
 
+// TestMetricsKeyedByRoute checks that /metricz counts requests per
+// matched route: known routes keep their paths as keys, whatever their
+// query or status, and a thousand distinct unknown paths plus a wrong
+// method add one key between them.
+func TestMetricsKeyedByRoute(t *testing.T) {
+	var calls atomic.Int64
+	srv := New(Config{build: fakeBuild(&calls, 0), Logf: t.Logf})
+	serve := func(method, target string) int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		return rec.Code
+	}
+	if code := serve(http.MethodGet, "/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz = %d", code)
+	}
+	if code := serve(http.MethodGet, "/v1/q3?days=bogus"); code != http.StatusBadRequest {
+		t.Fatalf("bad q3 = %d, want 400", code)
+	}
+	before := len(srv.Metrics().Snapshot(1).Requests)
+	for i := 0; i < 1000; i++ {
+		if code := serve(http.MethodGet, fmt.Sprintf("/scan/%d?x=%d", i, i)); code != http.StatusNotFound {
+			t.Fatalf("unknown path %d = %d, want 404", i, code)
+		}
+	}
+	if code := serve(http.MethodPost, "/v1/q3"); code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST q3 = %d, want 405", code)
+	}
+	snap := srv.Metrics().Snapshot(1)
+	if added := len(snap.Requests) - before; added > 1 {
+		t.Errorf("unmatched requests added %d metrics keys, want at most 1", added)
+	}
+	if e := snap.Requests[unmatchedRoute]; e.Count != 1001 || e.Errors != 1001 {
+		t.Errorf("%s = %+v, want 1001 requests, all errors", unmatchedRoute, e)
+	}
+	for route, want := range map[string]int64{"/healthz": 1, "/v1/q3": 1} {
+		if got := snap.Requests[route].Count; got != want {
+			t.Errorf("%s count = %d, want %d", route, got, want)
+		}
+	}
+}
+
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	// A nil study makes every evaluation handler dereference nil; the
 	// recovery middleware must convert that into a JSON 500, not a
@@ -457,15 +499,6 @@ func TestMemoWithoutWarmup(t *testing.T) {
 		t.Fatalf("building the study: %d %s", code, body)
 	}
 
-	// A q3 read whose request ends while the fit runs: the fit stops
-	// with that request's ctx error, which must not be memoized.
-	ctx, cancel := context.WithCancel(bg)
-	stop := time.AfterFunc(10*time.Millisecond, cancel)
-	defer stop.Stop()
-	if code, body := serve(ctx, "/v1/q3?"+query); code != 499 {
-		t.Fatalf("canceled q3 = %d %s, want 499", code, body)
-	}
-
 	oneShot, err := rainshine.NewStudy(rainshine.WithSeed(7), rainshine.WithDays(365), rainshine.WithRacks(60, 50))
 	if err != nil {
 		t.Fatal(err)
@@ -481,9 +514,40 @@ func TestMemoWithoutWarmup(t *testing.T) {
 		}
 		return string(buf) + "\n"
 	}
+	// Time the Q3 fit alone on the one-shot study: its rack-day frame
+	// and quality audit are built first.
+	if _, err := oneShot.Figures().RackDays(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oneShot.Quality(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	q3Want := encode(oneShot.ClimateGuidance())
+	fit := time.Since(start)
+
+	// A q3 read whose request ends while the fit runs: the fit stops
+	// with that request's ctx error, which must not be memoized. The
+	// published study's frame is built first, so the read goes straight
+	// into the same fit, and the cancel lands a quarter of the way in
+	// however fast this machine fits.
+	st, err := srv.reg.study(bg, StudyConfig{Seed: 7, Days: 365, Racks: [2]int{60, 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Figures().RackDays(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	stop := time.AfterFunc(fit/4, cancel)
+	defer stop.Stop()
+	if code, body := serve(ctx, "/v1/q3?"+query); code != 499 {
+		t.Fatalf("q3 canceled %v into a %v fit = %d %s, want 499", fit/4, fit, code, body)
+	}
+
 	for _, c := range []struct{ path, want string }{
 		{"/v1/q1?workload=W1&hourly=true&" + query, encode(oneShot.SpareProvisioning(rainshine.W1, true))},
-		{"/v1/q3?" + query, encode(oneShot.ClimateGuidance())},
+		{"/v1/q3?" + query, q3Want},
 	} {
 		for i := 0; i < 2; i++ {
 			if code, body := serve(bg, c.path); code != http.StatusOK || body != c.want {
@@ -493,10 +557,6 @@ func TestMemoWithoutWarmup(t *testing.T) {
 		}
 	}
 
-	st, err := srv.reg.study(bg, StudyConfig{Seed: 7, Days: 365, Racks: [2]int{60, 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, err := st.ClimateGuidance()
 	if err != nil {
 		t.Fatal(err)

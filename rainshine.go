@@ -624,11 +624,11 @@ func (s *Study) ClimateGuidance() (*ClimateReport, error) {
 }
 
 // ClimateGuidanceContext is ClimateGuidance under a context: the Q3
-// pipeline (three CART fits, PDP grids, the humidity boundary scan)
-// fans across the study's worker pool and stops early when ctx is
-// canceled — the variant the serving path uses per request. On a
-// warmed study the fit is Fig 18's, computed once; a fit canceled
-// through ctx is not kept, so the next call fits afresh.
+// pipeline (three CART fits, the humidity boundary scan) fans across
+// the study's worker pool and stops early when ctx is canceled — the
+// variant the serving path uses per request. On a warmed study the fit
+// is Fig 18's, computed once; a fit canceled through ctx is not kept,
+// so the next call fits afresh.
 func (s *Study) ClimateGuidanceContext(ctx context.Context) (*ClimateReport, error) {
 	res, err := s.data.Climate(ctx)
 	if err != nil {
