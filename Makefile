@@ -23,8 +23,8 @@ lint:
 	bin/rainshinelint ./...
 	$(GO) vet -vettool=bin/rainshinelint ./...
 
-# Apply every suggested fix in place (currently: lockorder value
-# receivers, clockinject time.Now/Since on clock-injected types).
+# Apply every suggested fix in place (currently only clockinject:
+# time.Now/Since on clock-injected types).
 lint-fix:
 	$(GO) build -o bin/rainshinelint ./cmd/rainshinelint
 	bin/rainshinelint -fix ./...

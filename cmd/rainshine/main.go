@@ -143,6 +143,11 @@ func run(args []string) (err error) {
 		}
 		opts = append(opts, rainshine.WithRacks(a, b))
 	}
+	// The rack-day budget the daemon applies to its queries, checked
+	// before any simulation.
+	if err := rainshine.CheckStudySize(opts...); err != nil {
+		return err
+	}
 
 	// climate-csv analyzes external data: no simulation involved.
 	if rest[0] == "climate-csv" {

@@ -158,6 +158,7 @@ func TestRunArgErrors(t *testing.T) {
 		{"-bins", "256", "summary"},    // bin budget past the byte range
 		{"-bins", "-3", "summary"},     // negative bin budget
 		{"-cpuprofile", "/nonexistent-dir/cpu.out", "summary"}, // unwritable profile path (pre-study)
+		{"-racks", "1000000,1000000", "summary"},               // over the rack-day budget (pre-study)
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

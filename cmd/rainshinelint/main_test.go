@@ -48,29 +48,32 @@ func TestStandaloneLoadErrorIsFatal(t *testing.T) {
 	}
 }
 
-// TestStandaloneFixIsIdempotent: -fix repairs a copied-lock receiver,
-// exits 0, and a second -fix run changes nothing.
+// TestStandaloneFixIsIdempotent: -fix moves a wall-clock read onto the
+// injected clock (clockinject rule A), exits 0, and a second -fix run
+// changes nothing.
 func TestStandaloneFixIsIdempotent(t *testing.T) {
-	const buggy = `package pkg
+	const buggy = `package main
 
-import "sync"
+import "time"
 
-type counter struct {
-	mu sync.Mutex
-	n  int
+type svc struct {
+	now func() time.Time
 }
 
-func (c counter) bump() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
+func (s *svc) stamp() time.Time {
+	return time.Now()
+}
+
+func main() {
+	s := &svc{now: time.Now}
+	_ = s.stamp()
 }
 `
 	dir := writeModule(t, map[string]string{
 		"go.mod":         "module scratch\n\ngo 1.24\n",
-		"pkg/counter.go": buggy,
+		"cmd/svc/svc.go": buggy,
 	})
-	target := filepath.Join(dir, "pkg", "counter.go")
+	target := filepath.Join(dir, "cmd", "svc", "svc.go")
 
 	if code := standalone([]string{"./..."}, true); code != 0 {
 		t.Fatalf("first -fix run = %d, want 0 (the only finding is fixable)", code)
@@ -80,7 +83,7 @@ func (c counter) bump() {
 		t.Fatal(err)
 	}
 	if string(once) == buggy {
-		t.Fatal("-fix did not rewrite the value receiver")
+		t.Fatal("-fix did not rewrite the wall-clock read")
 	}
 
 	if code := standalone([]string{"./..."}, true); code != 0 {

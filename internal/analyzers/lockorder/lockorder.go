@@ -1,20 +1,20 @@
 // Package lockorder enforces the locking discipline that keeps the
 // serving tier deadlock-free:
 //
-//  1. a type containing a sync lock (Mutex, RWMutex, WaitGroup, Once,
-//     Cond, Pool, Map) must not be copied: methods need pointer
-//     receivers (auto-fixable) and parameters must be pointers;
-//  2. no blocking operation — channel send/receive, select, range over
+//  1. no blocking operation — channel send/receive, select, range over
 //     a channel, time.Sleep, WaitGroup.Wait, net/os I/O, or a call to
 //     a function known to block — may run while a mutex is held; the
 //     held region is lexical, from the Lock call to the first matching
 //     Unlock on the same expression (deferred unlocks hold to the end
 //     of the function);
-//  3. two locks acquired in both orders anywhere in the package graph
+//  2. two locks acquired in both orders anywhere in the package graph
 //     are a deadlock waiting for contention; the per-package lock-site
 //     graph is assembled from direct acquisitions plus the Locks facts
 //     of callees, so an inversion spanning a package boundary is still
 //     caught.
+//
+// Copying a value that carries a lock is go vet's copylocks check, which
+// CI already runs, so this pass does not repeat it.
 //
 // Two facts cross function and package boundaries: Blocks (the
 // function may block) and Locks (the lock sites the function may
@@ -34,7 +34,7 @@ import (
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "forbid copied locks, blocking calls under a held mutex, and lock-order inversions",
+	Doc:       "forbid blocking calls under a held mutex and lock-order inversions",
 	Run:       run,
 	FactTypes: []analysis.Fact{&Blocks{}, &Locks{}},
 }
@@ -71,7 +71,7 @@ type acquire struct {
 	pos  token.Pos
 }
 
-// funcInfo is the per-declaration summary rules 2 and 3 consume.
+// funcInfo is the per-declaration summary both rules consume.
 type funcInfo struct {
 	decl         *ast.FuncDecl
 	obj          *types.Func
@@ -87,7 +87,6 @@ func run(pass *analysis.Pass) error {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
-		checkCopies(pass, file)
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				infos = append(infos, collect(pass, fd))
@@ -102,78 +101,6 @@ func run(pass *analysis.Pass) error {
 	}
 	reportInversions(pass, edges)
 	return nil
-}
-
-// ---- rule 1: copied locks ----
-
-func checkCopies(pass *analysis.Pass, file *ast.File) {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fd.Recv != nil && len(fd.Recv.List) == 1 {
-			rt := fd.Recv.List[0].Type
-			if _, isPtr := ast.Unparen(rt).(*ast.StarExpr); !isPtr {
-				if lock, ok := lockInExpr(pass, rt); ok {
-					pass.Report(analysis.Diagnostic{
-						Pos:      rt.Pos(),
-						Message:  "method " + fd.Name.Name + " has a value receiver but its type contains " + lock + ": every call copies the lock",
-						Analyzer: pass.Analyzer.Name,
-						SuggestedFixes: []analysis.SuggestedFix{{
-							Message: "take the receiver by pointer",
-							TextEdits: []analysis.TextEdit{{
-								Pos: rt.Pos(), End: rt.Pos(), NewText: []byte("*"),
-							}},
-						}},
-					})
-				}
-			}
-		}
-		if fd.Type.Params == nil {
-			continue
-		}
-		for _, field := range fd.Type.Params.List {
-			if _, isPtr := ast.Unparen(field.Type).(*ast.StarExpr); isPtr {
-				continue
-			}
-			if lock, ok := lockInExpr(pass, field.Type); ok {
-				pass.Reportf(field.Pos(), "parameter passes a value containing %s: pass a pointer so the lock is shared, not copied", lock)
-			}
-		}
-	}
-}
-
-func lockInExpr(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		return "", false
-	}
-	return lockIn(tv.Type, map[types.Type]bool{})
-}
-
-func lockIn(t types.Type, seen map[types.Type]bool) (string, bool) {
-	if seen[t] {
-		return "", false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return "sync." + obj.Name(), true
-			}
-		}
-		return lockIn(named.Underlying(), seen)
-	}
-	if st, ok := t.(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			if name, ok := lockIn(st.Field(i).Type(), seen); ok {
-				return name, true
-			}
-		}
-	}
-	return "", false
 }
 
 // ---- collection ----
@@ -448,7 +375,7 @@ func exportFacts(pass *analysis.Pass, infos []*funcInfo, blocks map[*types.Func]
 	}
 }
 
-// ---- rule 2 + 3: held regions ----
+// ---- rules 1 + 2: held regions ----
 
 func checkRegions(pass *analysis.Pass, fi *funcInfo, blocks map[*types.Func]bool, locks map[*types.Func]map[string]bool, edges map[[2]string]token.Pos) {
 	for _, region := range fi.regions {

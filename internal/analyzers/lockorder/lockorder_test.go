@@ -9,5 +9,5 @@ import (
 
 func TestLockorder(t *testing.T) {
 	// lockdep first: package a imports its Blocks/Locks facts.
-	analysistest.RunWithSuggestedFixes(t, "testdata", lockorder.Analyzer, "lockdep", "a")
+	analysistest.Run(t, "testdata", lockorder.Analyzer, "lockdep", "a")
 }

@@ -1,6 +1,6 @@
-// Package a exercises the lockorder rules: copied locks, blocking
-// while a mutex is held, and lock-order inversions, including the
-// Blocks/Locks facts imported from package lockdep.
+// Package a exercises the lockorder rules: blocking while a mutex is
+// held and lock-order inversions, including the Blocks/Locks facts
+// imported from package lockdep.
 package a
 
 import (
@@ -15,22 +15,10 @@ type cache struct {
 	items map[string]int
 }
 
-func (c cache) size() int { // want `value receiver but its type contains sync.Mutex`
-	return len(c.items)
-}
-
 func (c *cache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.items = map[string]int{}
-}
-
-func sum(c cache) int { // want `value containing sync.Mutex`
-	return len(c.items)
-}
-
-func sumPtr(c *cache) int {
-	return len(c.items)
 }
 
 func blockUnderLock(c *cache, ch chan int) {

@@ -61,13 +61,14 @@ func codingBenchFrames(b testing.TB, n, nFactors int) (typed, legacy []*frame.Co
 }
 
 // benchCodingPass measures the binned engine's coding pass — cells to
-// per-feature byte-code arrays — over the given columns. The builder is
+// per-feature byte-code arrays — over the given columns. The engine is
 // prepared once outside the loop so the measurement is the pass itself,
 // not the one-time layout allocation.
 func benchCodingPass(cols []*frame.Column, n int) func(*testing.B) {
 	return func(b *testing.B) {
-		bb := &binnedBuilder{cfg: Config{Task: Regression, Workers: 1, Bins: DefaultBins}, ctx: context.Background(), n: n}
-		if err := bb.prepare(cols); err != nil {
+		cfg := Config{Task: Regression, Workers: 1, Bins: DefaultBins}
+		bb, _, err := newBinned(newFit(context.Background(), cfg, &Tree{}, make([]float64, n)), cols)
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -1,12 +1,16 @@
 package cart
 
 // Histogram-binned split search: the fleet-scale engine behind
-// SplitBinned / SplitAuto. Instead of presorting every feature and
-// scanning rows at each node, each continuous feature is quantized once
-// per Fit into at most Config.Bins quantile bins (byte codes), and the
-// per-node search scans bin histograms — O(bins) per feature per node
+// SplitBinned / SplitAuto, one of the two engines the grower in grow.go
+// drives. Instead of presorting every feature and scanning rows at each
+// node, each continuous feature is quantized once per Fit into at most
+// Config.Bins quantile bins (byte codes), and a node's view is its range
+// of the row permutation plus its histograms. The search scans each
+// histogram through the shared kernel — O(bins) per feature per node
 // after an O(rows) histogram build, with the sibling histogram obtained
-// by subtraction so only the smaller child is ever scanned.
+// by subtraction so only the smaller child is ever scanned. Child
+// statistics come arithmetically from the split's aggregates, so a node
+// whose children will not split is never partitioned.
 //
 // Nominal and ordinal features keep their exact search: their level
 // sets are the bins (one level, one bin), so the category-ordering scan
@@ -15,16 +19,14 @@ package cart
 //
 // Determinism contract: the quantizer samples on a fixed stride, the
 // coding pass is chunked on frame.ChunkRows boundaries with per-chunk
-// partials merged in chunk order, per-feature scans run through
-// parallel.ForEachWorker with per-slot scratch and reduce in feature
-// order, and histogram builds pick their shape (feature-parallel for
-// wide frames and single-chunk nodes, chunk x feature-parallel with a
-// chunk-ordered merge otherwise) from the data shape alone — never from
-// the worker count, which would change float accumulation order. The
-// permutation partition is a stable scatter whose parallel two-pass
-// form produces the identical permutation to the serial form, so that
-// choice alone may consult the worker count. The fitted tree is
-// byte-identical for every worker count.
+// partials merged in chunk order, and histogram builds pick their shape
+// (feature-parallel for wide frames and single-chunk nodes, chunk x
+// feature-parallel with a chunk-ordered merge otherwise) from the data
+// shape alone — never from the worker count, which would change float
+// accumulation order. The permutation partition is a stable scatter
+// whose parallel two-pass form produces the identical permutation to
+// the serial form, so that choice alone may consult the worker count.
+// The fitted tree is byte-identical for every worker count.
 //
 // Threshold consistency: training routes rows by byte code, prediction
 // routes raw floats by Node.Threshold. The coding pass tracks each
@@ -34,7 +36,6 @@ package cart
 // on every training row.
 
 import (
-	"context"
 	"math"
 	"slices"
 
@@ -75,60 +76,10 @@ type binFeat struct {
 	binMin, binMax []float64
 }
 
-// bsplit is one candidate split plus the finite-case aggregates the
-// winning scan saw, so child statistics are derived arithmetically
-// instead of by re-scanning rows.
-type bsplit struct {
-	feature   int
-	bin       int // numeric: last byte code routed left
-	threshold float64
-	leftSet   []uint64
-	gain      float64
-
-	nl, sl, ql float64 // regression: finite-left count/sum/sum-of-squares
-	nf, sf, qf float64 // regression: finite-total count/sum/sum-of-squares
-
-	leftCounts, totCounts []float64 // classification: per-class analogues
-}
-
-// nodeAgg carries a node's response aggregates down the recursion.
-type nodeAgg struct {
-	n, sum, sq float64   // regression
-	counts     []float64 // classification (owned by the node)
-}
-
-// binScratch holds one worker slot's reusable scan buffers.
-type binScratch struct {
-	present []int
-	score   []float64
-
-	left, right, total, bestLeft []float64 // class counts
-}
-
-func newBinScratch(nClasses, maxNb int) *binScratch {
-	sc := &binScratch{
-		present: make([]int, 0, maxNb),
-		score:   make([]float64, maxNb),
-	}
-	if nClasses > 0 {
-		sc.left = make([]float64, nClasses)
-		sc.right = make([]float64, nClasses)
-		sc.total = make([]float64, nClasses)
-		sc.bestLeft = make([]float64, nClasses)
-	}
-	return sc
-}
-
-type binnedBuilder struct {
-	cfg          Config
-	ctx          context.Context
-	tree         *Tree
-	y            []float64
-	n            int
-	nClasses     int
-	rootImpurity float64
-	workers      int
-
+// binned is the histogram engine.
+type binned struct {
+	*fit
+	n     int
 	feats []binFeat
 	codes [][]uint8 // per feature, original row order
 
@@ -143,10 +94,6 @@ type binnedBuilder struct {
 	histLen int
 	pool    [][]float64
 
-	featSplit []bsplit
-	featOK    []bool
-	scratch   []*binScratch
-
 	// histPart is the pooled per-chunk slab buffer of the chunk x
 	// feature-parallel histogram build (nChunks x histLen); grown lazily,
 	// reused across nodes (the tree grows serially, so at most one
@@ -157,44 +104,24 @@ type binnedBuilder struct {
 	leftCnt []int
 }
 
-// fitBinned grows the tree with the histogram engine. The Tree arrives
-// with Features, ClassLevels, and importanceRaw already populated.
-func fitBinned(ctx context.Context, cfg Config, t *Tree, cols []*frame.Column, y []float64) (*Tree, error) {
-	b := &binnedBuilder{cfg: cfg, ctx: ctx, tree: t, y: y, n: len(y)}
-	if cfg.Task == Classification {
-		b.nClasses = len(t.ClassLevels)
-	}
-	if err := b.prepare(cols); err != nil {
-		return nil, err
-	}
-	agg := b.rootAgg()
-	root := b.makeNode(agg)
-	b.rootImpurity = root.Impurity
-	hist := b.getHist()
-	b.buildHist(0, b.n, hist)
-	b.grow(root, agg, 0, b.n, hist, 0)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.Root = root
-	t.numberLeaves()
-	return t, nil
+// binView is a binned node's view: its perm[lo:hi] range and its
+// histograms (nil for a node that will not split).
+type binView struct {
+	lo, hi int
+	hist   []float64
 }
 
-// prepare codes every feature to bytes and lays out the histogram
-// space. Quantizer construction fans over features; the coding pass
-// fans over (feature, chunk) tasks on frame.ChunkRows boundaries with
-// per-task min/max partials merged in task order.
-func (b *binnedBuilder) prepare(cols []*frame.Column) error {
+// newBinned codes every feature to bytes, lays out the histogram space
+// and returns the engine with its root view. Quantizer construction
+// fans over features; the coding pass fans over (feature, chunk) tasks
+// on frame.ChunkRows boundaries with per-task min/max partials merged
+// in task order.
+func newBinned(f *fit, cols []*frame.Column) (*binned, binView, error) {
 	nf := len(cols)
-	b.workers = parallel.Workers(b.cfg.Workers)
-	b.feats = make([]binFeat, nf)
-	b.codes = make([][]uint8, nf)
+	b := &binned{fit: f, n: len(f.y), feats: make([]binFeat, nf), codes: make([][]uint8, nf)}
 	for fi := range cols {
 		b.codes[fi] = make([]uint8, b.n)
 	}
-	b.featSplit = make([]bsplit, nf)
-	b.featOK = make([]bool, nf)
 	b.perm = make([]int32, b.n)
 	for i := range b.perm {
 		b.perm[i] = int32(i)
@@ -221,38 +148,24 @@ func (b *binnedBuilder) prepare(cols []*frame.Column) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, binView{}, err
 	}
 
 	if err := b.codeFeatures(cols); err != nil {
-		return err
+		return nil, binView{}, err
 	}
 
-	statW := 3
-	if b.cfg.Task == Classification {
-		statW = b.nClasses
-	}
 	b.off = make([]int, nf+1)
 	maxNb := 0
 	for fi := range b.feats {
-		b.off[fi+1] = b.off[fi] + b.feats[fi].nb*statW
-		if b.feats[fi].nb > maxNb {
-			maxNb = b.feats[fi].nb
-		}
+		b.off[fi+1] = b.off[fi] + b.feats[fi].nb*b.statW
+		maxNb = max(maxNb, b.feats[fi].nb)
 	}
 	b.histLen = b.off[nf]
-	slots := b.workers
-	if slots > nf {
-		slots = nf
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	b.scratch = make([]*binScratch, slots)
-	for w := range b.scratch {
-		b.scratch[w] = newBinScratch(b.nClasses, maxNb)
-	}
-	return nil
+	f.sizeScratch(maxNb)
+	h := b.getHist()
+	b.buildHist(0, b.n, h)
+	return b, binView{lo: 0, hi: b.n, hist: h}, nil
 }
 
 // codeFeatures is the coding pass: every feature's cells become byte
@@ -261,7 +174,7 @@ func (b *binnedBuilder) prepare(cols []*frame.Column) error {
 // columns copy their uint8 codes straight through; float64-backed cells
 // round-trip through validation. Fans over (feature, chunk) tasks with
 // per-task min/max partials merged in task order.
-func (b *binnedBuilder) codeFeatures(cols []*frame.Column) error {
+func (b *binned) codeFeatures(cols []*frame.Column) error {
 	nf := len(cols)
 	bounds := frame.ChunkBounds(b.n, frame.ChunkRows)
 	nTasks := nf * len(bounds)
@@ -371,7 +284,7 @@ func (b *binnedBuilder) codeFeatures(cols []*frame.Column) error {
 // range, and group grid cells into at most Config.Bins bins of roughly
 // equal sample mass (every bin holds at least one sample point, hence
 // at least one training row).
-func (b *binnedBuilder) buildQuantizer(ft *binFeat, c *frame.Column) {
+func (b *binned) buildQuantizer(ft *binFeat, c *frame.Column) {
 	stride := b.n / binSample
 	if stride < 1 {
 		stride = 1
@@ -427,122 +340,98 @@ func (b *binnedBuilder) buildQuantizer(ft *binFeat, c *frame.Column) {
 	}
 }
 
-// rootAgg aggregates the full response.
-func (b *binnedBuilder) rootAgg() nodeAgg {
-	if b.cfg.Task == Regression {
-		var sum, sq float64
-		for _, v := range b.y {
-			sum += v
-			sq += v * v
+func (b *binned) search(sc *scratch, fi int, v binView, sp *split) bool {
+	ft := &b.feats[fi]
+	if ft.nb < 2 {
+		return false
+	}
+	block := v.hist[b.off[fi]:b.off[fi+1]]
+	// The finite totals sum every cell in code order, empty ones
+	// included: a cell emptied by subtraction can keep a rounding
+	// residue in its sums.
+	var counts []float64
+	if b.cfg.Task == Classification {
+		counts = sc.total
+		clear(counts)
+	}
+	var n, sum, sq float64
+	for c := 0; c < ft.nb; c++ {
+		cell := block[c*b.statW : (c+1)*b.statW]
+		if counts == nil {
+			n += cell[0]
+			sum += cell[1]
+			sq += cell[2]
+			continue
 		}
-		return nodeAgg{n: float64(b.n), sum: sum, sq: sq}
+		for j, v := range cell {
+			counts[j] += v
+			n += v
+		}
 	}
-	counts := make([]float64, b.nClasses)
-	for _, v := range b.y {
-		counts[int(v)]++
+	finite := nodeAgg{n: n, sum: sum, sq: sq, counts: counts}
+	if b.tree.Features[fi].Kind == frame.Nominal {
+		return b.nominalSplit(sc, fi, block, &finite, sp)
 	}
-	return nodeAgg{n: float64(b.n), counts: counts}
+	// Continuous and ordinal features scan their occupied bins in value
+	// order — for ordinals (one level, one bin) exactly the positions the
+	// exact engine's sorted-row scan evaluates.
+	occupied := sc.cells[:0]
+	for c := 0; c < ft.nb; c++ {
+		if b.cellN(block, c) > 0 {
+			occupied = append(occupied, c)
+		}
+	}
+	cut, gain := b.scan(sc, block, occupied, &finite)
+	if cut < 0 {
+		return false
+	}
+	p, q := occupied[cut], occupied[cut+1]
+	*sp = split{feature: fi, bin: p, threshold: (ft.binMax[p] + ft.binMin[q]) / 2, gain: gain}
+	b.withAggs(sp, block, occupied[:cut+1], &finite)
+	return true
 }
 
-// makeNode materializes a node from its aggregates, mirroring the exact
-// engine's per-node statistics.
-func (b *binnedBuilder) makeNode(a nodeAgg) *Node {
-	n := &Node{N: int(a.n), Feature: -1, LeafID: -1}
-	if b.cfg.Task == Regression {
-		mean := a.sum / a.n
-		n.Value = mean
-		n.Impurity = a.sq - a.sum*mean
-		if n.Impurity < 0 {
-			n.Impurity = 0
-		}
-		return n
-	}
-	n.ClassCounts = a.counts
-	best, bestC := -1.0, 0
-	ss := 0.0
-	for c, cnt := range a.counts {
-		if cnt > best {
-			best, bestC = cnt, c
-		}
-		p := cnt / a.n
-		ss += p * p
-	}
-	n.Value = float64(bestC)
-	n.Impurity = a.n * (1 - ss)
-	if n.Impurity < 0 {
-		n.Impurity = 0
-	}
-	return n
-}
-
-// grow recursively splits the node owning perm[lo:hi]. hist is the
-// node's histogram set; ownership transfers here and the buffer is
-// recycled or subtracted in place into a child's histogram.
-func (b *binnedBuilder) grow(n *Node, agg nodeAgg, lo, hi int, hist []float64, depth int) {
-	if depth >= b.cfg.MaxDepth || n.N < b.cfg.MinSplit || n.Impurity <= 1e-12 {
-		b.putHist(hist)
-		return
-	}
-	sp, ok := b.bestSplit(hist)
-	minGain := 0.0
-	if b.cfg.CP > 0 {
-		minGain = b.cfg.CP * b.rootImpurity
-	}
-	if !ok || sp.gain < minGain {
-		b.putHist(hist)
-		return
-	}
-	n.Feature = sp.feature
-	n.Threshold = sp.threshold
-	n.LeftSet = sp.leftSet
-	b.tree.importanceRaw[sp.feature] += sp.gain
-
-	lagg, ragg := b.childAggs(n, agg, sp)
-	n.Left = b.makeNode(lagg)
-	n.Right = b.makeNode(ragg)
-
+func (b *binned) split(n *Node, sp *split, agg nodeAgg, v binView, depth int) (lagg, ragg nodeAgg, lv, rv binView) {
+	lagg, ragg = b.childAggs(n, agg, sp)
 	// Children that can never split need no row range: their statistics
 	// came from the split aggregates, so the partition (and both child
 	// histograms) can be skipped outright.
-	d1 := depth + 1
-	growL := d1 < b.cfg.MaxDepth && n.Left.N >= b.cfg.MinSplit && n.Left.Impurity > 1e-12
-	growR := d1 < b.cfg.MaxDepth && n.Right.N >= b.cfg.MinSplit && n.Right.Impurity > 1e-12
+	growL, growR := b.splittable(lagg, depth+1), b.splittable(ragg, depth+1)
 	if !growL && !growR {
-		b.putHist(hist)
-		return
+		b.putHist(v.hist)
+		return lagg, ragg, binView{}, binView{}
 	}
-	mid := b.partition(n, sp, lo, hi, n.Left.N)
+	mid := b.partition(n, sp, v.lo, v.hi, int(lagg.n))
+	lv, rv = binView{lo: v.lo, hi: mid}, binView{lo: mid, hi: v.hi}
+	// Build the smaller growing child's histograms; when both grow, the
+	// sibling's follow by subtraction, reusing the parent's buffer in
+	// place.
+	build := func(cv *binView) {
+		cv.hist = b.getHist()
+		b.buildHist(cv.lo, cv.hi, cv.hist)
+	}
 	switch {
+	case growL && growR && lagg.n <= ragg.n:
+		build(&lv)
+		subtractHist(v.hist, lv.hist)
+		rv.hist = v.hist
 	case growL && growR:
-		// Build the smaller child's histograms; the sibling's follow by
-		// subtraction, reusing the parent's buffer in place.
-		if n.Left.N <= n.Right.N {
-			lh := b.getHist()
-			b.buildHist(lo, mid, lh)
-			subtractHist(hist, lh)
-			b.grow(n.Left, lagg, lo, mid, lh, d1)
-			b.grow(n.Right, ragg, mid, hi, hist, d1)
-		} else {
-			rh := b.getHist()
-			b.buildHist(mid, hi, rh)
-			subtractHist(hist, rh)
-			b.grow(n.Left, lagg, lo, mid, hist, d1)
-			b.grow(n.Right, ragg, mid, hi, rh, d1)
-		}
+		build(&rv)
+		subtractHist(v.hist, rv.hist)
+		lv.hist = v.hist
 	case growL:
-		lh := b.getHist()
-		b.buildHist(lo, mid, lh)
-		b.putHist(hist)
-		b.grow(n.Left, lagg, lo, mid, lh, d1)
+		build(&lv)
+		b.putHist(v.hist)
 	default:
-		rh := b.getHist()
-		b.buildHist(mid, hi, rh)
-		b.putHist(hist)
-		b.grow(n.Right, ragg, mid, hi, rh, d1)
+		build(&rv)
+		b.putHist(v.hist)
 	}
+	return lagg, ragg, lv, rv
 }
 
-func (b *binnedBuilder) getHist() []float64 {
+func (b *binned) release(v binView) { b.putHist(v.hist) }
+
+func (b *binned) getHist() []float64 {
 	if k := len(b.pool); k > 0 {
 		h := b.pool[k-1]
 		b.pool = b.pool[:k-1]
@@ -552,7 +441,7 @@ func (b *binnedBuilder) getHist() []float64 {
 	return make([]float64, b.histLen)
 }
 
-func (b *binnedBuilder) putHist(h []float64) {
+func (b *binned) putHist(h []float64) {
 	if h != nil {
 		b.pool = append(b.pool, h)
 	}
@@ -583,8 +472,8 @@ func subtractHist(parent, child []float64) {
 //     chunk order — a fixed association whatever the worker count.
 //
 // A canceled context leaves some blocks zero or partial; the scans then
-// find little and growth stops, and fitBinned reports ctx.Err().
-func (b *binnedBuilder) buildHist(lo, hi int, h []float64) {
+// find little and growth stops, and the fit reports ctx.Err().
+func (b *binned) buildHist(lo, hi int, h []float64) {
 	nf := len(b.codes)
 	bounds := frame.ChunkBounds(hi-lo, frame.ChunkRows)
 	if nf >= wideFrameFeatures || len(bounds) <= 1 {
@@ -632,16 +521,17 @@ func (b *binnedBuilder) buildHist(lo, hi int, h []float64) {
 
 // histFeature accumulates feature fi's histogram over perm[lo:hi) into
 // block (the feature's statW*nb stats, accumulated in row order).
-func (b *binnedBuilder) histFeature(fi, lo, hi int, block []float64) {
-	codes := b.codes[fi]
+func (b *binned) histFeature(fi, lo, hi int, block []float64) {
+	// Locals: the compiler reloads fields through b on every iteration.
+	codes, perm, y := b.codes[fi], b.perm, b.y
 	if b.cfg.Task == Regression {
 		for i := lo; i < hi; i++ {
-			r := b.perm[i]
+			r := perm[i]
 			c := codes[r]
 			if c == missingCode {
 				continue
 			}
-			yv := b.y[r]
+			yv := y[r]
 			p := 3 * int(c)
 			block[p]++
 			block[p+1] += yv
@@ -651,293 +541,13 @@ func (b *binnedBuilder) histFeature(fi, lo, hi int, block []float64) {
 	}
 	k := b.nClasses
 	for i := lo; i < hi; i++ {
-		r := b.perm[i]
+		r := perm[i]
 		c := codes[r]
 		if c == missingCode {
 			continue
 		}
-		block[int(c)*k+int(b.y[r])]++
+		block[int(c)*k+int(y[r])]++
 	}
-}
-
-// bestSplit scans every feature's histogram for the impurity-minimizing
-// split. Features scan concurrently; the winner is reduced in feature
-// order with a strict greater-than on gain, the exact engine's
-// tie-break.
-func (b *binnedBuilder) bestSplit(hist []float64) (bsplit, bool) {
-	err := parallel.ForEachWorker(b.ctx, b.cfg.Workers, len(b.codes), func(w, fi int) error {
-		if b.feats[fi].nb < 2 {
-			b.featOK[fi] = false
-			return nil
-		}
-		block := hist[b.off[fi]:b.off[fi+1]]
-		if b.tree.Features[fi].Kind == frame.Nominal {
-			b.featSplit[fi], b.featOK[fi] = b.bestNominalBinned(b.scratch[w], fi, block)
-		} else {
-			b.featSplit[fi], b.featOK[fi] = b.bestNumericBinned(b.scratch[w], fi, block)
-		}
-		return nil
-	})
-	best := bsplit{feature: -1}
-	if err != nil {
-		return best, false // canceled: stop growing everywhere
-	}
-	for fi := range b.featSplit {
-		if b.featOK[fi] && b.featSplit[fi].gain > best.gain {
-			best = b.featSplit[fi]
-		}
-	}
-	return best, best.feature >= 0
-}
-
-// bestNumericBinned scans a continuous or ordinal feature's bins in
-// value order, evaluating a split at every boundary between occupied
-// bins — for ordinals (one level, one bin) exactly the positions the
-// exact engine's sorted-row scan evaluates.
-func (b *binnedBuilder) bestNumericBinned(sc *binScratch, fi int, block []float64) (bsplit, bool) {
-	ft := &b.feats[fi]
-	minLeaf := float64(b.cfg.MinLeaf)
-	if b.cfg.Task == Regression {
-		var nf, sf, qf float64
-		for c := 0; c < ft.nb; c++ {
-			nf += block[3*c]
-			sf += block[3*c+1]
-			qf += block[3*c+2]
-		}
-		if nf < 2*minLeaf || nf < 2 {
-			return bsplit{}, false
-		}
-		parentImp := qf - sf*sf/nf
-		var accN, accS, accQ float64
-		bestGain := 0.0
-		bestPrev, bestNext := -1, -1
-		var bn, bs, bq float64
-		prev := -1
-		for c := 0; c < ft.nb; c++ {
-			cnt := block[3*c]
-			if cnt == 0 {
-				continue
-			}
-			if prev >= 0 && accN >= minLeaf && nf-accN >= minLeaf {
-				nl, nr := accN, nf-accN
-				childImp := (accQ - accS*accS/nl) +
-					((qf - accQ) - (sf-accS)*(sf-accS)/nr)
-				if g := parentImp - childImp; g > bestGain {
-					bestGain = g
-					bestPrev, bestNext = prev, c
-					bn, bs, bq = accN, accS, accQ
-				}
-			}
-			accN += cnt
-			accS += block[3*c+1]
-			accQ += block[3*c+2]
-			prev = c
-		}
-		if bestPrev < 0 || bestGain <= 0 {
-			return bsplit{}, false
-		}
-		thr := (ft.binMax[bestPrev] + ft.binMin[bestNext]) / 2
-		return bsplit{
-			feature: fi, bin: bestPrev, threshold: thr, gain: bestGain,
-			nl: bn, sl: bs, ql: bq, nf: nf, sf: sf, qf: qf,
-		}, true
-	}
-
-	k := b.nClasses
-	total := sc.total[:k]
-	left := sc.left[:k]
-	for j := range total {
-		total[j] = 0
-		left[j] = 0
-	}
-	var nf float64
-	for c := 0; c < ft.nb; c++ {
-		for j := 0; j < k; j++ {
-			total[j] += block[c*k+j]
-		}
-	}
-	for _, v := range total {
-		nf += v
-	}
-	if nf < 2*minLeaf || nf < 2 {
-		return bsplit{}, false
-	}
-	parentImp := giniSSE(total, nf)
-	var accN float64
-	bestGain := 0.0
-	bestPrev, bestNext := -1, -1
-	prev := -1
-	for c := 0; c < ft.nb; c++ {
-		var cnt float64
-		for j := 0; j < k; j++ {
-			cnt += block[c*k+j]
-		}
-		if cnt == 0 {
-			continue
-		}
-		if prev >= 0 && accN >= minLeaf && nf-accN >= minLeaf {
-			childImp := giniFromLeft(left, total, sc.right[:k], accN, nf-accN)
-			if g := parentImp - childImp; g > bestGain {
-				bestGain = g
-				bestPrev, bestNext = prev, c
-				copy(sc.bestLeft, left)
-			}
-		}
-		for j := 0; j < k; j++ {
-			left[j] += block[c*k+j]
-		}
-		accN += cnt
-		prev = c
-	}
-	if bestPrev < 0 || bestGain <= 0 {
-		return bsplit{}, false
-	}
-	thr := (ft.binMax[bestPrev] + ft.binMin[bestNext]) / 2
-	return bsplit{
-		feature: fi, bin: bestPrev, threshold: thr, gain: bestGain,
-		leftCounts: append([]float64(nil), sc.bestLeft[:k]...),
-		totCounts:  append([]float64(nil), total...),
-	}, true
-}
-
-// bestNominalBinned runs the optimal category-ordering scan (sort
-// levels by mean response, or by first-class proportion, and scan
-// boundaries) directly over the level histogram — the same search the
-// exact engine performs, computed from aggregates.
-func (b *binnedBuilder) bestNominalBinned(sc *binScratch, fi int, block []float64) (bsplit, bool) {
-	ft := &b.feats[fi]
-	nLevels := ft.nb
-	minLeaf := float64(b.cfg.MinLeaf)
-	score := sc.score[:nLevels]
-	present := sc.present[:0]
-	defer func() { sc.present = present[:0] }()
-
-	if b.cfg.Task == Regression {
-		var nf, sf, qf float64
-		for c := 0; c < nLevels; c++ {
-			cnt := block[3*c]
-			nf += cnt
-			sf += block[3*c+1]
-			qf += block[3*c+2]
-			if cnt > 0 {
-				present = append(present, c)
-				score[c] = block[3*c+1] / cnt
-			}
-		}
-		if nf < 2*minLeaf || nf < 2 || len(present) < 2 {
-			return bsplit{}, false
-		}
-		slices.SortFunc(present, func(a, c int) int {
-			switch {
-			case score[a] < score[c]:
-				return -1
-			case score[a] > score[c]:
-				return 1
-			}
-			return 0
-		})
-		parentImp := qf - sf*sf/nf
-		var accN, accS, accQ float64
-		bestGain := 0.0
-		bestCut := -1
-		var bn, bs, bq float64
-		for ki := 0; ki < len(present)-1; ki++ {
-			c := present[ki]
-			accN += block[3*c]
-			accS += block[3*c+1]
-			accQ += block[3*c+2]
-			nl, nr := accN, nf-accN
-			if nl < minLeaf || nr < minLeaf {
-				continue
-			}
-			childImp := (accQ - accS*accS/nl) +
-				((qf - accQ) - (sf-accS)*(sf-accS)/nr)
-			if g := parentImp - childImp; g > bestGain {
-				bestGain, bestCut = g, ki
-				bn, bs, bq = accN, accS, accQ
-			}
-		}
-		if bestCut < 0 || bestGain <= 0 {
-			return bsplit{}, false
-		}
-		set := make([]uint64, (nLevels+63)/64)
-		for ki := 0; ki <= bestCut; ki++ {
-			c := present[ki]
-			set[c/64] |= 1 << (uint(c) % 64)
-		}
-		return bsplit{
-			feature: fi, leftSet: set, gain: bestGain,
-			nl: bn, sl: bs, ql: bq, nf: nf, sf: sf, qf: qf,
-		}, true
-	}
-
-	k := b.nClasses
-	total := sc.total[:k]
-	left := sc.left[:k]
-	for j := range total {
-		total[j] = 0
-		left[j] = 0
-	}
-	var nf float64
-	for c := 0; c < nLevels; c++ {
-		var cnt float64
-		for j := 0; j < k; j++ {
-			cnt += block[c*k+j]
-			total[j] += block[c*k+j]
-		}
-		nf += cnt
-		if cnt > 0 {
-			present = append(present, c)
-			score[c] = block[c*k] / cnt // first-class proportion
-		}
-	}
-	if nf < 2*minLeaf || nf < 2 || len(present) < 2 {
-		return bsplit{}, false
-	}
-	slices.SortFunc(present, func(a, c int) int {
-		switch {
-		case score[a] < score[c]:
-			return -1
-		case score[a] > score[c]:
-			return 1
-		}
-		return 0
-	})
-	parentImp := giniSSE(total, nf)
-	var accN float64
-	bestGain := 0.0
-	bestCut := -1
-	for ki := 0; ki < len(present)-1; ki++ {
-		c := present[ki]
-		var cnt float64
-		for j := 0; j < k; j++ {
-			left[j] += block[c*k+j]
-			cnt += block[c*k+j]
-		}
-		accN += cnt
-		nl, nr := accN, nf-accN
-		if nl < minLeaf || nr < minLeaf {
-			continue
-		}
-		childImp := giniFromLeft(left, total, sc.right[:k], nl, nr)
-		if g := parentImp - childImp; g > bestGain {
-			bestGain, bestCut = g, ki
-			copy(sc.bestLeft, left)
-		}
-	}
-	if bestCut < 0 || bestGain <= 0 {
-		return bsplit{}, false
-	}
-	set := make([]uint64, (nLevels+63)/64)
-	for ki := 0; ki <= bestCut; ki++ {
-		c := present[ki]
-		set[c/64] |= 1 << (uint(c) % 64)
-	}
-	return bsplit{
-		feature: fi, leftSet: set, gain: bestGain,
-		leftCounts: append([]float64(nil), sc.bestLeft[:k]...),
-		totCounts:  append([]float64(nil), total...),
-	}, true
 }
 
 // childAggs derives both children's aggregates from the parent's and
@@ -945,44 +555,25 @@ func (b *binnedBuilder) bestNominalBinned(sc *binScratch, fi int, block []float6
 // difference between the parent and the split feature's finite total,
 // and they follow the majority (finite) child, matching the exact
 // engine's partition. Sets n.DefaultLeft.
-func (b *binnedBuilder) childAggs(n *Node, parent nodeAgg, sp bsplit) (l, r nodeAgg) {
-	if b.cfg.Task == Regression {
-		missN := parent.n - sp.nf
-		missS := parent.sum - sp.sf
-		missQ := parent.sq - sp.qf
-		n.DefaultLeft = sp.nl >= sp.nf-sp.nl
-		l = nodeAgg{n: sp.nl, sum: sp.sl, sq: sp.ql}
-		if n.DefaultLeft {
-			l.n += missN
-			l.sum += missS
-			l.sq += missQ
-		}
-		r = nodeAgg{n: parent.n - l.n, sum: parent.sum - l.sum, sq: parent.sq - l.sq}
-		return l, r
-	}
-	k := b.nClasses
-	lc := make([]float64, k)
-	var fl, fr float64
-	for j := 0; j < k; j++ {
-		lc[j] = sp.leftCounts[j]
-		fl += sp.leftCounts[j]
-		fr += sp.totCounts[j] - sp.leftCounts[j]
-	}
-	n.DefaultLeft = fl >= fr
+func (b *binned) childAggs(n *Node, parent nodeAgg, sp *split) (l, r nodeAgg) {
+	n.DefaultLeft = sp.left.n >= sp.finite.n-sp.left.n
+	l = sp.left
+	l.counts = slices.Clone(sp.left.counts) // nil for regression
 	if n.DefaultLeft {
-		for j := 0; j < k; j++ {
-			lc[j] += parent.counts[j] - sp.totCounts[j]
+		l.n += parent.n - sp.finite.n
+		l.sum += parent.sum - sp.finite.sum
+		l.sq += parent.sq - sp.finite.sq
+		for j := range l.counts {
+			l.counts[j] += parent.counts[j] - sp.finite.counts[j]
 		}
 	}
-	rc := make([]float64, k)
-	var ln, rn float64
-	for j := 0; j < k; j++ {
-		rc[j] = parent.counts[j] - lc[j]
-		ln += lc[j]
-		rn += rc[j]
+	r = nodeAgg{n: parent.n - l.n, sum: parent.sum - l.sum, sq: parent.sq - l.sq}
+	if l.counts != nil {
+		r.counts = make([]float64, len(l.counts))
+		for j := range r.counts {
+			r.counts[j] = parent.counts[j] - l.counts[j]
+		}
 	}
-	l = nodeAgg{n: ln, counts: lc}
-	r = nodeAgg{n: rn, counts: rc}
 	return l, r
 }
 
@@ -997,7 +588,7 @@ func (b *binnedBuilder) childAggs(n *Node, parent nodeAgg, sp bsplit) (l, r node
 // the serial scatter produces — which is why this choice alone may
 // consult the worker count (unlike histogram shapes, no float
 // accumulation is at stake).
-func (b *binnedBuilder) partition(n *Node, sp bsplit, lo, hi, leftN int) int {
+func (b *binned) partition(n *Node, sp *split, lo, hi, leftN int) int {
 	var tab [256]uint8
 	if b.tree.Features[sp.feature].Kind == frame.Nominal {
 		for c := 0; c < b.feats[sp.feature].nb; c++ {
@@ -1013,8 +604,7 @@ func (b *binnedBuilder) partition(n *Node, sp bsplit, lo, hi, leftN int) int {
 	if n.DefaultLeft {
 		tab[missingCode] = 1
 	}
-	codes := b.codes[sp.feature]
-	tmp := b.permTmp
+	codes, perm, tmp := b.codes[sp.feature], b.perm, b.permTmp
 	if bounds := frame.ChunkBounds(hi-lo, frame.ChunkRows); b.workers > 1 && len(bounds) > 1 {
 		nc := len(bounds)
 		if cap(b.leftCnt) < nc {
@@ -1024,7 +614,7 @@ func (b *binnedBuilder) partition(n *Node, sp bsplit, lo, hi, leftN int) int {
 		err := parallel.ForEach(b.ctx, b.cfg.Workers, nc, func(ci int) error {
 			cnt := 0
 			for i := lo + bounds[ci][0]; i < lo+bounds[ci][1]; i++ {
-				cnt += int(tab[codes[b.perm[i]]])
+				cnt += int(tab[codes[perm[i]]])
 			}
 			lefts[ci] = cnt
 			return nil
@@ -1042,7 +632,7 @@ func (b *binnedBuilder) partition(n *Node, sp bsplit, lo, hi, leftN int) int {
 				l := lo + lefts[ci]
 				rr := lo + leftN + (bounds[ci][0] - lefts[ci])
 				for i := lo + bounds[ci][0]; i < lo+bounds[ci][1]; i++ {
-					row := b.perm[i]
+					row := perm[i]
 					t := int(tab[codes[row]])
 					mask := -t // t==1: all ones selects the left cursor
 					pos := (l & mask) | (rr &^ mask)
@@ -1052,7 +642,7 @@ func (b *binnedBuilder) partition(n *Node, sp bsplit, lo, hi, leftN int) int {
 				}
 				return nil
 			})
-			copy(b.perm[lo:hi], tmp[lo:hi])
+			copy(perm[lo:hi], tmp[lo:hi])
 			return lo + leftN
 		}
 		// Canceled mid-count: fall through to the serial scatter, whose
@@ -1060,7 +650,7 @@ func (b *binnedBuilder) partition(n *Node, sp bsplit, lo, hi, leftN int) int {
 	}
 	l, rr := lo, lo+leftN
 	for i := lo; i < hi; i++ {
-		row := b.perm[i]
+		row := perm[i]
 		t := int(tab[codes[row]])
 		mask := -t // t==1: all ones selects the left cursor
 		pos := (l & mask) | (rr &^ mask)
@@ -1068,6 +658,6 @@ func (b *binnedBuilder) partition(n *Node, sp bsplit, lo, hi, leftN int) int {
 		l += t
 		rr += 1 - t
 	}
-	copy(b.perm[lo:hi], tmp[lo:hi])
+	copy(perm[lo:hi], tmp[lo:hi])
 	return lo + leftN
 }

@@ -9,8 +9,9 @@
 //   - continuous, ordinal, and nominal features; nominal splits use the
 //     optimal category-ordering theorem (sort categories by mean response
 //     and scan, which is exact for regression and two-class problems);
-//   - missing-value tolerance: non-finite feature cells are treated as
-//     missing — splits are searched over available cases only, and
+//   - missing-value tolerance: non-finite feature cells, and nominal
+//     cells that name no level, are treated as missing — splits are
+//     searched over available cases only, and
 //     missing rows follow the majority child (rpart's surrogate-free
 //     fallback), at training and prediction time alike;
 //   - stopping rules (max depth, minimum node/leaf sizes, minimum
@@ -20,23 +21,28 @@
 //   - leaf extraction and row→leaf assignment, which the paper uses to
 //     cluster racks with similar failure behaviour (Q1).
 //
-// Performance model: two split-search engines share one growing loop.
-// The exact engine sorts each continuous/ordinal feature once per Fit;
-// child nodes inherit the sorted order by a stable in-place partition
-// (rank filtering) instead of re-sorting. The histogram-binned engine
-// (LightGBM-style) engages automatically at fleet scale (Config.Split,
-// AutoBinRows): continuous features are quantized once to at most
-// Config.Bins quantile bins, nodes accumulate per-bin statistics and
-// scan bins instead of rows, and each child's histogram is built from
-// the smaller side and subtracted from the parent's for the sibling.
-// Nominal and ordinal features use their level sets as bins, so their
-// search stays exact in either engine. Null bitmaps on frame columns
-// are honored natively: bitmap-marked cells code to the missing
-// sentinel without materializing NaNs. In both engines the per-node
-// search fans the candidate features across a bounded worker pool
-// (Config.Workers), and trees are byte-identical for every worker
-// count: the winning split is reduced in feature order with the same
-// strict impurity tie-break the serial scan applies.
+// Performance model: two split-search engines share one growing loop
+// (grow.go). The grower owns the recursion, the stopping rule, the CP
+// gate, node statistics and the per-node search, which fans the
+// candidate features across a bounded worker pool (Config.Workers) and
+// reduces the winner in feature order with a strict impurity
+// tie-break, so trees are byte-identical for every worker count. An
+// engine supplies a node view and three steps over it: search one
+// feature, split the view into its children's, release it. The exact
+// engine (this file) sorts each continuous/ordinal feature once per Fit
+// and scans rows; child nodes inherit the sorted order by a stable
+// in-place partition (rank filtering) instead of re-sorting. The
+// histogram-binned engine (binned.go, LightGBM-style) engages
+// automatically at fleet scale (Config.Split, AutoBinRows): continuous
+// features are quantized once to at most Config.Bins quantile bins,
+// nodes scan per-bin statistics instead of rows, and each child's
+// histogram is built from the smaller side and subtracted from the
+// parent's for the sibling. Every histogram search — binned numeric,
+// and the category-ordering search over nominal levels in either
+// engine — ends in one prefix-scan kernel, so nominal and ordinal
+// search is exact in both engines. Null bitmaps on frame columns are
+// honored natively: bitmap-marked cells count as missing without
+// materializing NaNs in the binned engine.
 package cart
 
 import (
@@ -291,10 +297,14 @@ func FitContext(ctx context.Context, f *frame.Frame, target string, features []s
 	}
 	t.importanceRaw = make([]float64, len(features))
 
+	fc := newFit(ctx, cfg, t, y)
 	if chooseBinned(cfg, f.NumRows(), t.Features) {
-		return fitBinned(ctx, cfg, t, colRefs, y)
+		e, root, err := newBinned(fc, colRefs)
+		if err != nil {
+			return nil, err
+		}
+		return growTree(fc, e, root)
 	}
-
 	// Exact engine: flatten each feature to a dense value slice, with
 	// missing cells — null marks and in-band sentinels alike — surfaced
 	// as the NaN sentinel the scans expect.
@@ -302,316 +312,12 @@ func FitContext(ctx context.Context, f *frame.Frame, target string, features []s
 	for i, c := range colRefs {
 		cols[i] = c.Values()
 	}
-	b := &builder{cfg: cfg, ctx: ctx, tree: t, y: y, cols: cols}
-	if cfg.Task == Classification {
-		b.nClasses = len(t.ClassLevels)
-	}
-	if err := b.prepare(f.NumRows()); err != nil {
+	e := newPresorted(fc, cols)
+	root, err := e.presort()
+	if err != nil {
 		return nil, err
 	}
-	root := b.node(b.rows.idx)
-	b.rootImpurity = root.Impurity
-	b.grow(root, b.rows, 0)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.Root = root
-	t.numberLeaves()
-	return t, nil
-}
-
-// nodeRows is the per-node view of the training rows: the row set in
-// partition order, plus — for every continuous/ordinal feature — the
-// finite subset presorted by (value, row index). Children inherit the
-// sorted order through a stable in-place partition, so sorting happens
-// exactly once per Fit.
-type nodeRows struct {
-	idx    []int
-	sorted [][]int32 // per feature; nil for nominal features
-}
-
-type builder struct {
-	cfg          Config
-	ctx          context.Context
-	tree         *Tree
-	y            []float64
-	cols         [][]float64
-	nClasses     int
-	rootImpurity float64
-
-	rows    nodeRows
-	workers int
-
-	// Reused builder-lifetime buffers (the tree grows serially; only the
-	// per-node feature search fans out, through per-worker scratch).
-	side      []bool    // row → routed to the left child
-	idxTmp    []int     // partition scratch for idx
-	sortTmps  [][]int32 // per worker: partition scratch for sorted lists
-	featSplit []split
-	featOK    []bool
-	scratch   []*scratch
-}
-
-// scratch holds one worker's reusable split-search buffers, sized to the
-// largest level/class cardinality the tree can meet.
-type scratch struct {
-	left, total, right []float64 // class counts for numeric scans
-	counts             []int     // nominal: per-category row counts
-	score              []float64 // nominal: category order keys
-	catSum, catSq      []float64 // nominal regression accumulators
-	catClass           [][]float64
-	present            []int
-}
-
-// initBuffers sizes the builder-lifetime scratch (partition side table,
-// per-worker split/search buffers) for nRows training rows. Shared by
-// prepare and by the incremental refitter, which supplies its own
-// presorted row views instead of re-sorting.
-func (b *builder) initBuffers(nRows int) {
-	nf := len(b.cols)
-	b.workers = parallel.Workers(b.cfg.Workers)
-	b.side = make([]bool, nRows)
-	b.idxTmp = make([]int, nRows)
-	b.featSplit = make([]split, nf)
-	b.featOK = make([]bool, nf)
-
-	slots := b.workers
-	if slots > nf {
-		slots = nf
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	maxLevels := 0
-	for fi := range b.cols {
-		if n := len(b.tree.Features[fi].Levels); n > maxLevels {
-			maxLevels = n
-		}
-	}
-	b.scratch = make([]*scratch, slots)
-	b.sortTmps = make([][]int32, slots)
-	for w := range b.scratch {
-		b.scratch[w] = newScratch(b.nClasses, maxLevels)
-		b.sortTmps[w] = make([]int32, 0, nRows)
-	}
-}
-
-// prepare builds the root row view: every feature's finite rows sorted
-// once by (value, row index) — the canonical order rank filtering
-// preserves down the tree. The per-feature sorts run through the pool.
-func (b *builder) prepare(nRows int) error {
-	nf := len(b.cols)
-	b.initBuffers(nRows)
-
-	idx := make([]int, nRows)
-	for i := range idx {
-		idx[i] = i
-	}
-	b.rows = nodeRows{idx: idx, sorted: make([][]int32, nf)}
-
-	return parallel.ForEach(b.ctx, b.cfg.Workers, nf, func(fi int) error {
-		if b.tree.Features[fi].Kind == frame.Nominal {
-			return nil
-		}
-		col := b.cols[fi]
-		s := make([]int32, 0, nRows)
-		for r := 0; r < nRows; r++ {
-			if isFinite(col[r]) {
-				s = append(s, int32(r))
-			}
-		}
-		slices.SortFunc(s, func(a, c int32) int {
-			va, vc := col[a], col[c]
-			switch {
-			case va < vc:
-				return -1
-			case va > vc:
-				return 1
-			case a < c: // total order: ties break by row index
-				return -1
-			case a > c:
-				return 1
-			}
-			return 0
-		})
-		b.rows.sorted[fi] = s
-		return nil
-	})
-}
-
-func newScratch(nClasses, maxLevels int) *scratch {
-	sc := &scratch{
-		counts:  make([]int, maxLevels),
-		score:   make([]float64, maxLevels),
-		catSum:  make([]float64, maxLevels),
-		catSq:   make([]float64, maxLevels),
-		present: make([]int, 0, maxLevels),
-	}
-	if nClasses > 0 {
-		sc.left = make([]float64, nClasses)
-		sc.total = make([]float64, nClasses)
-		sc.right = make([]float64, nClasses)
-		sc.catClass = make([][]float64, maxLevels)
-	}
-	return sc
-}
-
-// node computes leaf statistics for the rows in idx.
-func (b *builder) node(idx []int) *Node {
-	n := &Node{N: len(idx), Feature: -1, LeafID: -1}
-	if b.cfg.Task == Regression {
-		sum, sq := 0.0, 0.0
-		for _, r := range idx {
-			v := b.y[r]
-			sum += v
-			sq += v * v
-		}
-		mean := sum / float64(len(idx))
-		n.Value = mean
-		n.Impurity = sq - sum*mean // SSE = sum(y^2) - n*mean^2
-		if n.Impurity < 0 {
-			n.Impurity = 0 // guard against rounding
-		}
-		return n
-	}
-	counts := make([]float64, b.nClasses)
-	for _, r := range idx {
-		counts[int(b.y[r])]++
-	}
-	n.ClassCounts = counts
-	best, bestC := -1.0, 0
-	ss := 0.0
-	total := float64(len(idx))
-	for c, cnt := range counts {
-		if cnt > best {
-			best, bestC = cnt, c
-		}
-		p := cnt / total
-		ss += p * p
-	}
-	n.Value = float64(bestC)
-	n.Impurity = total * (1 - ss) // N-weighted Gini
-	return n
-}
-
-// grow recursively splits node over the rows view.
-func (b *builder) grow(n *Node, rows nodeRows, depth int) {
-	if depth >= b.cfg.MaxDepth || len(rows.idx) < b.cfg.MinSplit || n.Impurity <= 1e-12 {
-		return
-	}
-	sp := b.bestSplit(rows)
-	if sp.feature < 0 {
-		return
-	}
-	minGain := 0.0
-	if b.cfg.CP > 0 {
-		minGain = b.cfg.CP * b.rootImpurity
-	}
-	if sp.gain < minGain {
-		return
-	}
-	n.Feature = sp.feature
-	n.Threshold = sp.threshold
-	n.LeftSet = sp.leftSet
-	b.tree.importanceRaw[sp.feature] += sp.gain
-
-	left, right := b.partition(n, rows)
-	n.Left = b.node(left.idx)
-	n.Right = b.node(right.idx)
-	b.grow(n.Left, left, depth+1)
-	b.grow(n.Right, right, depth+1)
-}
-
-// partition routes the node's rows through its split. Rows with a
-// missing split value follow the majority child, the same route unseen
-// values take at prediction time. The row set is rearranged in place to
-// [left | right] (each side keeping available rows in order, then the
-// missing rows), and every feature's presorted list is stably split so
-// children never re-sort.
-func (b *builder) partition(n *Node, rows nodeRows) (left, right nodeRows) {
-	feat := b.tree.Features[n.Feature]
-	col := b.cols[n.Feature]
-	idx := rows.idx
-
-	nl, nr, nm := 0, 0, 0
-	for _, r := range idx {
-		v := col[r]
-		switch {
-		case !isFinite(v):
-			nm++
-		case routeLeft(feat.Kind, n, v):
-			nl++
-		default:
-			nr++
-		}
-	}
-	n.DefaultLeft = nl >= nr
-	leftTotal := nl
-	if n.DefaultLeft {
-		leftTotal += nm
-	}
-	// Scatter into [finite-left, missing?][finite-right, missing?],
-	// preserving the original row order within each group — the exact
-	// sequence the append-based partition produced.
-	tmp := b.idxTmp[:len(idx)]
-	pLeft, pRight := 0, leftTotal
-	pMiss := nl
-	if !n.DefaultLeft {
-		pMiss = leftTotal + nr
-	}
-	for _, r := range idx {
-		v := col[r]
-		switch {
-		case !isFinite(v):
-			tmp[pMiss] = r
-			pMiss++
-			b.side[r] = n.DefaultLeft
-		case routeLeft(feat.Kind, n, v):
-			tmp[pLeft] = r
-			pLeft++
-			b.side[r] = true
-		default:
-			tmp[pRight] = r
-			pRight++
-			b.side[r] = false
-		}
-	}
-	copy(idx, tmp)
-
-	left = nodeRows{idx: idx[:leftTotal], sorted: make([][]int32, len(rows.sorted))}
-	right = nodeRows{idx: idx[leftTotal:], sorted: make([][]int32, len(rows.sorted))}
-
-	// Rank filtering: stable in-place partition of each feature's sorted
-	// rows by child side; the relative (value, row) order survives, so
-	// children reuse it directly. Fanned across the pool — each feature's
-	// list is independent and each worker slot has its own spill buffer.
-	parallel.ForEachWorker(b.ctx, b.cfg.Workers, len(rows.sorted), func(w, fi int) error {
-		s := rows.sorted[fi]
-		if s == nil {
-			return nil
-		}
-		spill := b.sortTmps[w][:0]
-		k := 0
-		for _, r := range s {
-			if b.side[r] {
-				s[k] = r
-				k++
-			} else {
-				spill = append(spill, r)
-			}
-		}
-		copy(s[k:], spill)
-		b.sortTmps[w] = spill[:0]
-		left.sorted[fi] = s[:k]
-		right.sorted[fi] = s[k:]
-		return nil
-	})
-	return left, right
-}
-
-// isFinite reports whether a feature cell carries a usable value.
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+	return growTree(fc, e, root)
 }
 
 // chooseBinned decides whether the fit runs on the histogram-binned
@@ -636,75 +342,230 @@ func chooseBinned(cfg Config, rows int, feats []Feature) bool {
 	return true
 }
 
-func routeLeft(kind frame.Kind, n *Node, v float64) bool {
-	if kind == frame.Nominal {
-		return n.inLeftSet(int(v))
+// nodeRows is the presorted engine's node view: the row set in
+// partition order, plus — for every continuous/ordinal feature — the
+// finite subset presorted by (value, row index). Children inherit the
+// sorted order through a stable in-place partition, so sorting happens
+// exactly once per Fit.
+type nodeRows struct {
+	idx    []int
+	sorted [][]int32 // per feature; nil for nominal features
+}
+
+// presorted is the exact engine. It scans every row of a node: numeric
+// features in their presorted order, nominal features through a level
+// histogram filled from the node's rows.
+type presorted struct {
+	*fit
+	cols   [][]float64
+	side   []uint8 // row → child side during a partition
+	idxTmp []int   // partition scratch for idx
+}
+
+// newPresorted sizes the engine's buffers for every training row.
+func newPresorted(f *fit, cols [][]float64) *presorted {
+	e := &presorted{fit: f, cols: cols, side: make([]uint8, len(f.y)), idxTmp: make([]int, len(f.y))}
+	maxLevels := 0
+	for _, ft := range f.tree.Features {
+		maxLevels = max(maxLevels, len(ft.Levels))
 	}
-	return v <= n.Threshold
+	f.sizeScratch(maxLevels)
+	for _, sc := range f.scratch {
+		sc.hist = make([]float64, maxLevels*f.statW, maxLevels*f.statW+pad)
+		sc.spill = make([]int32, 0, len(f.y))
+	}
+	return e
 }
 
-type split struct {
-	feature   int
-	threshold float64
-	leftSet   []uint64
-	gain      float64
-}
-
-// bestSplit searches all features for the impurity-minimizing split.
-// Features are searched concurrently; the winner is reduced in feature
-// order with a strict greater-than on gain, so ties break toward the
-// lower feature index exactly as the serial scan does.
-func (b *builder) bestSplit(rows nodeRows) split {
-	nf := len(b.cols)
-	err := parallel.ForEachWorker(b.ctx, b.cfg.Workers, nf, func(w, fi int) error {
-		if b.tree.Features[fi].Kind == frame.Nominal {
-			b.featSplit[fi], b.featOK[fi] = b.bestNominalSplit(b.scratch[w], fi, rows.idx)
-		} else {
-			b.featSplit[fi], b.featOK[fi] = b.bestNumericSplit(b.scratch[w], fi, rows.sorted[fi])
+// presort builds the root view: every feature's finite rows sorted once
+// by (value, row index) — the canonical order rank filtering preserves
+// down the tree. The per-feature sorts run through the pool.
+func (e *presorted) presort() (nodeRows, error) {
+	nRows := len(e.y)
+	idx := make([]int, nRows)
+	for i := range idx {
+		idx[i] = i
+	}
+	root := nodeRows{idx: idx, sorted: make([][]int32, len(e.cols))}
+	err := parallel.ForEach(e.ctx, e.cfg.Workers, len(e.cols), func(fi int) error {
+		if e.tree.Features[fi].Kind == frame.Nominal {
+			return nil
 		}
+		root.sorted[fi] = sortedFinite(e.cols[fi], 0, nRows)
 		return nil
 	})
-	best := split{feature: -1}
-	if err != nil {
-		return best // canceled: stop growing everywhere
-	}
-	for fi := range b.featSplit {
-		if b.featOK[fi] && b.featSplit[fi].gain > best.gain {
-			best = b.featSplit[fi]
-		}
-	}
-	return best
+	return root, err
 }
 
-// bestNumericSplit scans the presorted finite rows of a continuous or
-// ordinal feature. Missing cells were excluded when the sorted view was
-// built (available-case splitting), and the node's view arrives already
+// sortedFinite returns the rows in [lo, hi) whose cell in col is finite,
+// sorted by (value, row index): a total order, so ties break by row.
+func sortedFinite(col []float64, lo, hi int) []int32 {
+	s := make([]int32, 0, hi-lo)
+	for r := lo; r < hi; r++ {
+		if isFinite(col[r]) {
+			s = append(s, int32(r))
+		}
+	}
+	slices.SortFunc(s, func(a, c int32) int {
+		va, vc := col[a], col[c]
+		switch {
+		case va < vc:
+			return -1
+		case va > vc:
+			return 1
+		case a < c:
+			return -1
+		case a > c:
+			return 1
+		}
+		return 0
+	})
+	return s
+}
+
+func (e *presorted) search(sc *scratch, fi int, v nodeRows, sp *split) bool {
+	if e.tree.Features[fi].Kind == frame.Nominal {
+		return e.nominal(sc, fi, v.idx, sp)
+	}
+	return e.numeric(sc, fi, v.sorted[fi], sp)
+}
+
+func (e *presorted) split(n *Node, _ *split, _ nodeAgg, v nodeRows, _ int) (lagg, ragg nodeAgg, lv, rv nodeRows) {
+	lv, rv = e.partition(n, v)
+	return e.aggregate(lv.idx), e.aggregate(rv.idx), lv, rv
+}
+
+func (e *presorted) release(nodeRows) {}
+
+// level returns the level a nominal cell names. A non-finite cell, or
+// one outside the level table, names none and counts as missing.
+func level(v float64, nLevels int) (int, bool) {
+	if !isFinite(v) {
+		return 0, false
+	}
+	c := int(v)
+	return c, c >= 0 && c < nLevels
+}
+
+// partition routes the node's rows through its split. Rows with a
+// missing split value — non-finite, or a nominal cell that names no
+// level — follow the majority child, the same route they take at
+// prediction time. The row set is rearranged in place to [left | right]
+// (each side keeping available rows in order, then the missing rows),
+// and every feature's presorted list is stably split so children never
+// re-sort.
+func (e *presorted) partition(n *Node, rows nodeRows) (left, right nodeRows) {
+	ft := e.tree.Features[n.Feature]
+	nominal, nLevels := ft.Kind == frame.Nominal, len(ft.Levels)
+	col, side, idx := e.cols[n.Feature], e.side, rows.idx
+
+	// Route every row: side 0 is left, 1 right, 2 missing until the
+	// majority side is known.
+	var cnt [3]int
+	for _, r := range idx {
+		v, s := col[r], uint8(1)
+		if nominal {
+			if c, ok := level(v, nLevels); !ok {
+				s = 2
+			} else if n.inLeftSet(c) {
+				s = 0
+			}
+		} else if !isFinite(v) {
+			s = 2
+		} else if v <= n.Threshold {
+			s = 0
+		}
+		side[r] = s
+		cnt[s]++
+	}
+	n.DefaultLeft = cnt[0] >= cnt[1]
+	leftTotal, miss := cnt[0], uint8(1)
+	if n.DefaultLeft {
+		leftTotal, miss = cnt[0]+cnt[2], 0
+	}
+	// Scatter into [finite-left, missing?][finite-right, missing?],
+	// preserving the original row order within each group.
+	tmp := e.idxTmp[:len(idx)]
+	pos := [3]int{0, leftTotal, cnt[0]}
+	if !n.DefaultLeft {
+		pos[2] = leftTotal + cnt[1]
+	}
+	for _, r := range idx {
+		s := side[r]
+		tmp[pos[s]] = r
+		pos[s]++
+		if s == 2 {
+			side[r] = miss
+		}
+	}
+	copy(idx, tmp)
+
+	left = nodeRows{idx: idx[:leftTotal], sorted: make([][]int32, len(rows.sorted))}
+	right = nodeRows{idx: idx[leftTotal:], sorted: make([][]int32, len(rows.sorted))}
+
+	// Rank filtering: stable in-place partition of each feature's sorted
+	// rows by child side; the relative (value, row) order survives, so
+	// children reuse it directly. Fanned across the pool — each feature's
+	// list is independent and each worker slot has its own spill buffer.
+	parallel.ForEachWorker(e.ctx, e.cfg.Workers, len(rows.sorted), func(w, fi int) error {
+		s := rows.sorted[fi]
+		if s == nil {
+			return nil
+		}
+		spill := e.scratch[w].spill[:0]
+		k := 0
+		for _, r := range s {
+			if side[r] == 0 {
+				s[k] = r
+				k++
+			} else {
+				spill = append(spill, r)
+			}
+		}
+		copy(s[k:], spill)
+		e.scratch[w].spill = spill[:0]
+		left.sorted[fi] = s[:k]
+		right.sorted[fi] = s[k:]
+		return nil
+	})
+	return left, right
+}
+
+// isFinite reports whether a feature cell carries a usable value.
+func isFinite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// numeric scans the presorted finite rows of a continuous or ordinal
+// feature. Missing cells were excluded when the sorted view was built
+// (available-case splitting), and the node's view arrives already
 // ordered, so the scan is a single O(n) pass.
-func (b *builder) bestNumericSplit(sc *scratch, fi int, sorted []int32) (split, bool) {
-	col := b.cols[fi]
+func (e *presorted) numeric(sc *scratch, fi int, sorted []int32, sp *split) bool {
+	// Locals: the compiler reloads fields through e on every iteration.
+	col, y, minLeaf, k := e.cols[fi], e.y, e.cfg.MinLeaf, e.nClasses
 	n := len(sorted)
-	if n < 2*b.cfg.MinLeaf || n < 2 {
-		return split{}, false
+	if n < 2*minLeaf || n < 2 {
+		return false
 	}
 
 	bestPos, bestGain := -1, 0.0
-	if b.cfg.Task == Regression {
+	if e.cfg.Task == Regression {
 		totalSum, totalSq := 0.0, 0.0
 		for _, r := range sorted {
-			totalSum += b.y[r]
-			totalSq += b.y[r] * b.y[r]
+			totalSum += y[r]
+			totalSq += y[r] * y[r]
 		}
 		parentImp := totalSq - totalSum*totalSum/float64(n)
 		leftSum, leftSq := 0.0, 0.0
 		for i := 0; i < n-1; i++ {
 			r := sorted[i]
-			leftSum += b.y[r]
-			leftSq += b.y[r] * b.y[r]
+			leftSum += y[r]
+			leftSq += y[r] * y[r]
 			if col[sorted[i]] == col[sorted[i+1]] {
 				continue // cannot split between equal values
 			}
 			nl, nr := i+1, n-i-1
-			if nl < b.cfg.MinLeaf || nr < b.cfg.MinLeaf {
+			if nl < minLeaf || nr < minLeaf {
 				continue
 			}
 			rightSum := totalSum - leftSum
@@ -717,240 +578,74 @@ func (b *builder) bestNumericSplit(sc *scratch, fi int, sorted []int32) (split, 
 		}
 	} else {
 		// Class-count buffers come from the worker slot's scratch: two
-		// numeric scans never share a slot concurrently, so zeroing is
-		// the only per-call cost.
-		total := sc.total[:b.nClasses]
-		left := sc.left[:b.nClasses]
-		for cl := range total {
-			total[cl] = 0
-			left[cl] = 0
-		}
+		// scans never share a slot concurrently, so zeroing is the only
+		// per-call cost.
+		total := sc.total[:k]
+		left := sc.left[:k]
+		clear(total)
+		clear(left)
 		for _, r := range sorted {
-			total[int(b.y[r])]++
+			total[int(y[r])]++
 		}
 		parentImp := giniSSE(total, float64(n))
 		for i := 0; i < n-1; i++ {
-			left[int(b.y[sorted[i]])]++
+			left[int(y[sorted[i]])]++
 			if col[sorted[i]] == col[sorted[i+1]] {
 				continue
 			}
 			nl, nr := i+1, n-i-1
-			if nl < b.cfg.MinLeaf || nr < b.cfg.MinLeaf {
+			if nl < minLeaf || nr < minLeaf {
 				continue
 			}
-			childImp := giniFromLeft(left, total, sc.right[:b.nClasses], float64(nl), float64(nr))
+			childImp := giniFromLeft(left, total, sc.right[:k], float64(nl), float64(nr))
 			if g := parentImp - childImp; g > bestGain {
 				bestGain, bestPos = g, i
 			}
 		}
 	}
-	if bestPos < 0 || bestGain <= 0 {
-		return split{}, false
+	if bestPos < 0 {
+		return false
 	}
 	thr := (col[sorted[bestPos]] + col[sorted[bestPos+1]]) / 2
-	return split{feature: fi, threshold: thr, gain: bestGain}, true
+	*sp = split{feature: fi, threshold: thr, gain: bestGain}
+	return true
 }
 
-// giniSSE returns n * Gini for class counts.
-func giniSSE(counts []float64, n float64) float64 {
-	if n == 0 {
-		return 0
+// nominal fills the node's level histogram for nominal feature fi from
+// its finite rows, in row order, and runs the shared category-ordering
+// search over it. The finite totals are accumulated in the same row
+// order, not summed over level cells, so gains keep their low bits.
+func (e *presorted) nominal(sc *scratch, fi int, idx []int, sp *split) bool {
+	col, y, statW := e.cols[fi], e.y, e.statW
+	nLevels := len(e.tree.Features[fi].Levels)
+	block := sc.hist[:nLevels*statW]
+	clear(block)
+	var counts []float64
+	if e.cfg.Task == Classification {
+		counts = sc.total
+		clear(counts)
 	}
-	ss := 0.0
-	for _, c := range counts {
-		p := c / n
-		ss += p * p
-	}
-	return n * (1 - ss)
-}
-
-// giniFromLeft computes the summed child impurity, filling the caller's
-// right-count buffer instead of allocating.
-func giniFromLeft(left, total, right []float64, nl, nr float64) float64 {
-	lImp := giniSSE(left, nl)
-	for i := range total {
-		right[i] = total[i] - left[i]
-	}
-	return lImp + giniSSE(right[:len(total)], nr)
-}
-
-// bestNominalSplit orders categories by mean response (regression) or by
-// first-class proportion (classification) and scans boundaries. The
-// ordering is provably optimal for regression and two-class targets
-// (Breiman et al., Thm 4.5); for multiclass it is a standard heuristic.
-// All accumulators come from the worker slot's scratch, so the hot loop
-// allocates nothing.
-func (b *builder) bestNominalSplit(sc *scratch, fi int, idx []int) (split, bool) {
-	col := b.cols[fi]
-	// Available-case filtering: rows missing this feature sit out the
-	// search and follow the majority child at partition time.
-	avail := idx
+	var n, sum, sq float64
 	for _, r := range idx {
-		if !isFinite(col[r]) {
-			avail = make([]int, 0, len(idx))
-			for _, r2 := range idx {
-				if isFinite(col[r2]) {
-					avail = append(avail, r2)
-				}
-			}
-			break
+		c, ok := level(col[r], nLevels)
+		if !ok {
+			continue // available-case: missing rows sit out the search
 		}
+		v := y[r]
+		n++
+		if counts != nil {
+			block[c*statW+int(v)]++
+			counts[int(v)]++
+			continue
+		}
+		block[3*c]++
+		block[3*c+1] += v
+		block[3*c+2] += v * v
+		sum += v
+		sq += v * v
 	}
-	idx = avail
-	if len(idx) < 2*b.cfg.MinLeaf || len(idx) < 2 {
-		return split{}, false
-	}
-	nLevels := len(b.tree.Features[fi].Levels)
-	counts := sc.counts[:nLevels]
-	score := sc.score[:nLevels]
-	for c := range counts {
-		counts[c] = 0
-		score[c] = 0
-	}
-	if b.cfg.Task == Regression {
-		sums := sc.catSum[:nLevels]
-		for c := range sums {
-			sums[c] = 0
-		}
-		for _, r := range idx {
-			c := int(col[r])
-			counts[c]++
-			sums[c] += b.y[r]
-		}
-		for c := range score {
-			if counts[c] > 0 {
-				score[c] = sums[c] / float64(counts[c])
-			}
-		}
-	} else {
-		firstClass := sc.catSum[:nLevels]
-		for c := range firstClass {
-			firstClass[c] = 0
-		}
-		for _, r := range idx {
-			c := int(col[r])
-			counts[c]++
-			if int(b.y[r]) == 0 {
-				firstClass[c]++
-			}
-		}
-		for c := range score {
-			if counts[c] > 0 {
-				score[c] = firstClass[c] / float64(counts[c])
-			}
-		}
-	}
-	present := sc.present[:0]
-	for c, n := range counts {
-		if n > 0 {
-			present = append(present, c)
-		}
-	}
-	sc.present = present[:0]
-	if len(present) < 2 {
-		return split{}, false
-	}
-	slices.SortFunc(present, func(a, c int) int {
-		switch {
-		case score[a] < score[c]:
-			return -1
-		case score[a] > score[c]:
-			return 1
-		}
-		return 0
-	})
-
-	// Scan over the category ordering: rows are processed category by
-	// category, reusing the numeric machinery over a virtual ordering.
-	n := len(idx)
-	bestGain := 0.0
-	bestCut := -1
-	if b.cfg.Task == Regression {
-		totalSum, totalSq := 0.0, 0.0
-		catSum := sc.catSum[:nLevels]
-		catSq := sc.catSq[:nLevels]
-		for c := range catSum {
-			catSum[c] = 0
-			catSq[c] = 0
-		}
-		for _, r := range idx {
-			c := int(col[r])
-			catSum[c] += b.y[r]
-			catSq[c] += b.y[r] * b.y[r]
-			totalSum += b.y[r]
-			totalSq += b.y[r] * b.y[r]
-		}
-		parentImp := totalSq - totalSum*totalSum/float64(n)
-		leftSum, leftSq, nl := 0.0, 0.0, 0
-		for k := 0; k < len(present)-1; k++ {
-			c := present[k]
-			leftSum += catSum[c]
-			leftSq += catSq[c]
-			nl += counts[c]
-			nr := n - nl
-			if nl < b.cfg.MinLeaf || nr < b.cfg.MinLeaf {
-				continue
-			}
-			rightSum := totalSum - leftSum
-			rightSq := totalSq - leftSq
-			childImp := (leftSq - leftSum*leftSum/float64(nl)) +
-				(rightSq - rightSum*rightSum/float64(nr))
-			if g := parentImp - childImp; g > bestGain {
-				bestGain, bestCut = g, k
-			}
-		}
-	} else {
-		total := sc.total[:b.nClasses]
-		for cl := range total {
-			total[cl] = 0
-		}
-		catClass := sc.catClass[:nLevels]
-		for _, r := range idx {
-			c := int(col[r])
-			if catClass[c] == nil {
-				catClass[c] = make([]float64, b.nClasses)
-			}
-			catClass[c][int(b.y[r])]++
-			total[int(b.y[r])]++
-		}
-		parentImp := giniSSE(total, float64(n))
-		left := sc.left[:b.nClasses]
-		for cl := range left {
-			left[cl] = 0
-		}
-		nl := 0
-		for k := 0; k < len(present)-1; k++ {
-			c := present[k]
-			for cl := range left {
-				left[cl] += catClass[c][cl]
-			}
-			nl += counts[c]
-			nr := n - nl
-			if nl < b.cfg.MinLeaf || nr < b.cfg.MinLeaf {
-				continue
-			}
-			childImp := giniFromLeft(left, total, sc.right[:b.nClasses], float64(nl), float64(nr))
-			if g := parentImp - childImp; g > bestGain {
-				bestGain, bestCut = g, k
-			}
-		}
-		// Reset the per-category class counts we touched for the next
-		// call on this worker slot.
-		for _, cc := range catClass {
-			for cl := range cc {
-				cc[cl] = 0
-			}
-		}
-	}
-	if bestCut < 0 || bestGain <= 0 {
-		return split{}, false
-	}
-	set := make([]uint64, (nLevels+63)/64)
-	for k := 0; k <= bestCut; k++ {
-		c := present[k]
-		set[c/64] |= 1 << (uint(c) % 64)
-	}
-	return split{feature: fi, leftSet: set, gain: bestGain}, true
+	finite := nodeAgg{n: n, sum: sum, sq: sq, counts: counts}
+	return e.nominalSplit(sc, fi, block, &finite, sp)
 }
 
 // numberLeaves assigns LeafID values in left-to-right order and caches

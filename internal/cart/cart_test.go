@@ -447,6 +447,74 @@ func TestUnseenNominalLevelRoutesDefault(t *testing.T) {
 	}
 }
 
+// TestNominalCellOutsideLevelsIsMissing: a float64-backed nominal
+// column can hold a cell that names no level (frame.AddColumn adopts
+// Data as-is). Both engines must treat it as missing — train exactly
+// the tree they train when the cell is NaN — and route it at training
+// time the way prediction routes it, so every leaf's N matches the rows
+// prediction sends there.
+func TestNominalCellOutsideLevelsIsMissing(t *testing.T) {
+	n := 400
+	src := rng.New(61)
+	bad := make([]float64, n)
+	nan := make([]float64, n)
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range y {
+		c := src.IntN(3)
+		x[i] = src.Float64() * 10
+		y[i] = float64(c)*2 + x[i]*0.3 + src.NormFloat64()*0.1
+		bad[i], nan[i] = float64(c), float64(c)
+		if i%9 == 0 {
+			bad[i], nan[i] = 5, math.NaN()
+		}
+		if i%23 == 0 {
+			bad[i], nan[i] = -1, math.NaN()
+		}
+	}
+	build := func(cat []float64) *frame.Frame {
+		f := frame.New(n)
+		if err := f.AddColumn(frame.Column{Name: "cat", Kind: frame.Nominal, Data: cat, Levels: []string{"a", "b", "c"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddContinuous("x", x); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddContinuous("y", y); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	badF, nanF := build(bad), build(nan)
+	for _, split := range []SplitMethod{SplitExact, SplitBinned} {
+		cfg := Config{Task: Regression, Split: split, MaxDepth: 4, MinSplit: 10, CP: 0.001}
+		got, err := Fit(badF, "y", []string{"cat", "x"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Fit(nanF, "y", []string{"cat", "x"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("split=%d: out-of-range cells trained a different tree than NaN cells:\n%s\nvs\n%s", split, got, want)
+		}
+		ids, err := got.AssignLeaves(badF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, got.NumLeaves())
+		for _, id := range ids {
+			counts[id]++
+		}
+		for id, leaf := range got.Leaves() {
+			if counts[id] != leaf.N {
+				t.Errorf("split=%d: leaf %d trained on %d rows, prediction routes %d", split, id, leaf.N, counts[id])
+			}
+		}
+	}
+}
+
 func TestPruneReducesLeaves(t *testing.T) {
 	f := thresholdFrame(t, 500)
 	tree, err := Fit(f, "y", []string{"x"}, Config{Task: Regression, MaxDepth: 8, CP: -1, MinSplit: 4, MinLeaf: 2})

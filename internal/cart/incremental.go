@@ -13,6 +13,8 @@ import (
 // RefitConfig tunes the incremental refit-on-drift policy around the
 // base growth rules.
 type RefitConfig struct {
+	// Config holds the growth rules. Its Split and Bins are not read:
+	// the Refitter always grows with the exact presorted engine.
 	Config Config
 	// LeafDrift is the relative population change (vs the last
 	// structural fit) that marks a leaf's subtree stale. Zero means
@@ -193,26 +195,7 @@ func (r *Refitter) Append(rows [][]float64, y []float64) error {
 // mergeSorted merges the finite new rows [base, base+k) — sorted by
 // (value, row index) — into the existing presorted order over col.
 func mergeSorted(old []int32, col []float64, base, k int) []int32 {
-	batch := make([]int32, 0, k)
-	for i := base; i < base+k; i++ {
-		if isFinite(col[i]) {
-			batch = append(batch, int32(i))
-		}
-	}
-	slices.SortFunc(batch, func(a, c int32) int {
-		va, vc := col[a], col[c]
-		switch {
-		case va < vc:
-			return -1
-		case va > vc:
-			return 1
-		case a < c:
-			return -1
-		case a > c:
-			return 1
-		}
-		return 0
-	})
+	batch := sortedFinite(col, base, base+k)
 	if len(batch) == 0 {
 		return old
 	}
@@ -288,7 +271,7 @@ func (r *Refitter) Refit(ctx context.Context) (RefitStatsReport, error) {
 
 	if drifted == 0 {
 		rep.Outcome = RefitStats
-		r.refreshLeafStats(rowLeaf, leafN, nil)
+		r.refreshLeafStats(ctx, rowLeaf, leafN, nil)
 		return rep, nil
 	}
 	if float64(staleRows) > r.cfg.GlobalDrift*float64(len(r.y)) {
@@ -316,32 +299,23 @@ func (r *Refitter) adopt(t *Tree) {
 	}
 }
 
-// newBuilder assembles a builder over the accumulated storage for a
-// tree shell sharing the refitter's schema.
-func (r *Refitter) newBuilder(ctx context.Context, t *Tree) *builder {
-	b := &builder{cfg: r.cfg.Config, ctx: ctx, tree: t, y: r.y, cols: r.cols}
-	if r.cfg.Config.Task == Classification {
-		b.nClasses = len(r.classLevels)
-	}
-	b.initBuffers(len(r.y))
-	return b
-}
-
-func (r *Refitter) newTreeShell() *Tree {
-	return &Tree{
+// engine assembles a presorted engine over the accumulated storage for
+// a tree shell sharing the refitter's schema.
+func (r *Refitter) engine(ctx context.Context) *presorted {
+	t := &Tree{
 		Target:        r.target,
 		Task:          r.cfg.Config.Task,
 		Features:      slices.Clone(r.feats),
 		ClassLevels:   r.classLevels,
 		importanceRaw: make([]float64, len(r.feats)),
 	}
+	return newPresorted(newFit(ctx, r.cfg.Config, t, r.y), r.cols)
 }
 
 // fullFit regrows the whole tree, reusing the maintained presorted
 // orders (cloned, since partitioning rearranges them in place).
 func (r *Refitter) fullFit(ctx context.Context) (*Tree, error) {
-	t := r.newTreeShell()
-	b := r.newBuilder(ctx, t)
+	e := r.engine(ctx)
 	idx := make([]int, len(r.y))
 	for i := range idx {
 		idx[i] = i
@@ -352,38 +326,16 @@ func (r *Refitter) fullFit(ctx context.Context) (*Tree, error) {
 			sorted[fi] = slices.Clone(s)
 		}
 	}
-	b.rows = nodeRows{idx: idx, sorted: sorted}
-	root := b.node(idx)
-	b.rootImpurity = root.Impurity
-	b.grow(root, b.rows, 0)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.Root = root
-	t.numberLeaves()
-	return t, nil
+	return growTree(e.fit, e, nodeRows{idx: idx, sorted: sorted})
 }
 
 // refreshLeafStats recomputes N/Value/Impurity (and class counts) for
 // every kept leaf from the routed rows. skip marks leaves about to be
 // replaced by regrown subtrees.
-func (r *Refitter) refreshLeafStats(rowLeaf []int32, leafN []int, skip []bool) {
+func (r *Refitter) refreshLeafStats(ctx context.Context, rowLeaf []int32, leafN []int, skip []bool) {
 	leaves := r.tree.Leaves()
-	idxOf := make([][]int, len(leaves))
-	for l := range leaves {
-		if (skip == nil || !skip[l]) && leafN[l] > 0 {
-			idxOf[l] = make([]int, 0, leafN[l])
-		}
-	}
-	for row, l := range rowLeaf {
-		if idxOf[l] != nil {
-			idxOf[l] = append(idxOf[l], row)
-		}
-	}
-	stat := &builder{cfg: r.cfg.Config, y: r.y}
-	if r.cfg.Config.Task == Classification {
-		stat.nClasses = len(r.classLevels)
-	}
+	idxOf := rowsOf(rowLeaf, leafN, func(l int) bool { return skip == nil || !skip[l] })
+	stat := newFit(ctx, r.cfg.Config, &Tree{ClassLevels: r.classLevels}, r.y)
 	for l, leaf := range leaves {
 		if skip != nil && skip[l] {
 			continue
@@ -394,7 +346,7 @@ func (r *Refitter) refreshLeafStats(rowLeaf []int32, leafN []int, skip []bool) {
 			leaf.N = 0
 			continue
 		}
-		fresh := stat.node(idxOf[l])
+		fresh := stat.makeNode(stat.aggregate(idxOf[l]))
 		leaf.N = fresh.N
 		leaf.Value = fresh.Value
 		leaf.Impurity = fresh.Impurity
@@ -410,21 +362,11 @@ func (r *Refitter) refitSubtrees(ctx context.Context, rowLeaf []int32, leafN []i
 	leaves := t.Leaves()
 
 	// Keep the surviving structure's stats current first.
-	r.refreshLeafStats(rowLeaf, leafN, stale)
+	r.refreshLeafStats(ctx, rowLeaf, leafN, stale)
 
 	// Row sets per stale leaf, in ascending row order (the same order a
 	// full fit's root partition would deliver them in).
-	idxOf := make([][]int, len(leaves))
-	for l := range leaves {
-		if stale[l] {
-			idxOf[l] = make([]int, 0, leafN[l])
-		}
-	}
-	for row, l := range rowLeaf {
-		if stale[l] {
-			idxOf[l] = append(idxOf[l], row)
-		}
-	}
+	idxOf := rowsOf(rowLeaf, leafN, func(l int) bool { return stale[l] })
 	// One pass per numeric feature distributes its global sorted order
 	// into per-leaf sorted views — the presorted-order reuse that makes
 	// the incremental path cheaper than re-sorting.
@@ -448,18 +390,13 @@ func (r *Refitter) refitSubtrees(ctx context.Context, rowLeaf []int32, leafN []i
 	depth, parent, leftOf := r.leafTopology()
 
 	// Regrow each stale leaf in LeafID order (deterministic), sharing
-	// one builder whose scratch is sized to the full row count. The
-	// temporary shell collects subtree importance, folded into the
-	// live tree's totals afterwards.
-	shell := r.newTreeShell()
-	b := r.newBuilder(ctx, shell)
-	// CP gates splits against the *current* root impurity over all
-	// rows, the same yardstick a full refit would use.
-	allIdx := make([]int, len(r.y))
-	for i := range allIdx {
-		allIdx[i] = i
-	}
-	b.rootImpurity = b.node(allIdx).Impurity
+	// one engine whose buffers are sized to the full row count. Its
+	// tree shell collects subtree importance, folded into the live
+	// tree's totals afterwards. CP gates splits against the *current*
+	// root impurity over all rows, the same yardstick a full refit
+	// would use.
+	e := r.engine(ctx)
+	g := newGrower(e.fit, e, e.impurity(e.aggregate(nil)))
 	for l, leaf := range leaves {
 		if !stale[l] {
 			continue
@@ -469,9 +406,9 @@ func (r *Refitter) refitSubtrees(ctx context.Context, rowLeaf []int32, leafN []i
 			leaf.N = 0
 			continue
 		}
-		rows := nodeRows{idx: idxOf[l], sorted: sortedOf[l]}
-		fresh := b.node(rows.idx)
-		b.grow(fresh, rows, depth[l])
+		agg := e.aggregate(idxOf[l])
+		fresh := e.makeNode(agg)
+		g.grow(fresh, agg, nodeRows{idx: idxOf[l], sorted: sortedOf[l]}, depth[l])
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -484,15 +421,29 @@ func (r *Refitter) refitSubtrees(ctx context.Context, rowLeaf []int32, leafN []i
 			parent[l].Right = fresh
 		}
 	}
-	for fi, g := range shell.importanceRaw {
-		t.importanceRaw[fi] += g
+	for fi, gain := range e.tree.importanceRaw {
+		t.importanceRaw[fi] += gain
 	}
 	t.numberLeaves()
-	r.baseLeafN = make([]int, t.NumLeaves())
-	for l, leaf := range t.Leaves() {
-		r.baseLeafN[l] = leaf.N
-	}
+	r.adopt(t)
 	return nil
+}
+
+// rowsOf lists, for each populated leaf that keep selects, the rows
+// routed to it in ascending row order.
+func rowsOf(rowLeaf []int32, leafN []int, keep func(l int) bool) [][]int {
+	idxOf := make([][]int, len(leafN))
+	for l, n := range leafN {
+		if n > 0 && keep(l) {
+			idxOf[l] = make([]int, 0, n)
+		}
+	}
+	for row, l := range rowLeaf {
+		if idxOf[l] != nil {
+			idxOf[l] = append(idxOf[l], row)
+		}
+	}
+	return idxOf
 }
 
 // leafTopology returns, per LeafID, the leaf's depth, parent node (nil

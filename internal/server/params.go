@@ -20,6 +20,7 @@ const maxDays = 3660
 //	seed   uint64  root RNG seed            (default 42)
 //	days   int     observation window, days (default 930, max 3660)
 //	racks  a,b     per-DC rack counts       (default 331,290)
+//	               with racks x days at most rainshine.MaxRackDays
 //	faults bool    dirty-data mode          (default false)
 func parseStudyConfig(q url.Values) (StudyConfig, error) {
 	var cfg StudyConfig
@@ -56,7 +57,12 @@ func parseStudyConfig(q url.Values) (StudyConfig, error) {
 		}
 		cfg.Faults = faults
 	}
-	return cfg.Normalize(), nil
+	cfg = cfg.Normalize()
+	// The rack-day budget NewStudy enforces, checked before any build.
+	if err := rainshine.CheckStudySize(cfg.Options()...); err != nil {
+		return cfg, err
+	}
+	return cfg, nil
 }
 
 // parseQ1Params extracts the Q1 evaluation parameters:

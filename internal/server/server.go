@@ -220,14 +220,18 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 		s.writeBuildFailure(w, be)
 		return
 	}
+	var reason string
+	var size *rainshine.StudySizeError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
 		err = fmt.Errorf("request deadline exceeded (%s): %w", s.cfg.Timeout, err)
 	case errors.Is(err, context.Canceled):
 		status = 499 // client closed request (nginx convention)
+	case errors.As(err, &size):
+		reason = "study_too_large"
 	}
-	s.writeJSON(w, status, apiError{Error: err.Error()})
+	s.writeJSON(w, status, apiError{Error: err.Error(), Reason: reason})
 }
 
 // statusRecorder captures the response status for metrics.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -251,11 +252,34 @@ func TestParseStudyConfig(t *testing.T) {
 		{"racks": {"12,-10"}}, // ... and negative
 		{"racks": {"a,b"}},
 		{"faults": {"maybe"}},
+		{"racks": {"1000000,1000000"}}, // over the rack-day budget
+		{"racks": {"700,2"}, "days": {"3660"}},
 	}
 	for _, q := range bad {
 		if _, err := parseStudyConfig(q); err == nil {
 			t.Errorf("parseStudyConfig(%v) should error", q)
 		}
+	}
+	// The largest window at the default fleet is exactly the budget.
+	if d := mustParse(t, url.Values{"days": {"3660"}}); d.Days != 3660 {
+		t.Errorf("days=3660 parsed as %+v", d)
+	}
+}
+
+// TestOversizedStudyIs400: a study over the rack-day budget gets a
+// typed 400 naming the limit, and no build starts.
+func TestOversizedStudyIs400(t *testing.T) {
+	var calls atomic.Int64
+	ts := testServer(t, Config{build: fakeBuild(&calls, 0), Logf: t.Logf})
+	code, body := getJSON(t, ts.URL+"/v1/q1?racks=1000000,1000000")
+	if code != http.StatusBadRequest || body["reason"] != "study_too_large" {
+		t.Errorf("status %d body %v, want 400 with reason study_too_large", code, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, strconv.Itoa(rainshine.MaxRackDays)) {
+		t.Errorf("error %q does not name the limit %d", msg, rainshine.MaxRackDays)
+	}
+	if calls.Load() != 0 {
+		t.Errorf("oversized study triggered %d builds", calls.Load())
 	}
 }
 

@@ -169,9 +169,6 @@ func NewMaintainer(cfg Config) (*Maintainer, error) {
 		if rc.Config.Workers == 0 {
 			rc.Config.Workers = cfg.Sim.Workers
 		}
-		// The live model always runs the exact presorted engine: its
-		// reuse unit is the sorted order itself.
-		rc.Config.Split = cart.SplitExact
 		m.refitter, err = cart.NewRefitter("disk_failures", liveFeatures(), nil, rc)
 		if err != nil {
 			return nil, err

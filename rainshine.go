@@ -96,6 +96,58 @@ func ParseRacks(s string) (dc1, dc2 int, err error) {
 	return a, b, nil
 }
 
+// MaxRackDays bounds the size of one study: its racks across both
+// datacenters times its observation days. A study's memory and build
+// time grow with its rack-days; the climate series alone hold two
+// float32s per rack-day. The bound is the largest study the serving
+// daemon accepted at the paper-scale fleet before it existed: 621 racks
+// for 3,660 days.
+const MaxRackDays = 621 * 3660
+
+// StudySizeError reports a study larger than MaxRackDays. Racks (DC1,
+// DC2) and Days are the resolved sizes, defaults filled in.
+type StudySizeError struct {
+	Racks [2]int
+	Days  int
+}
+
+func (e *StudySizeError) Error() string {
+	return fmt.Sprintf("study of %d+%d racks over %d days exceeds the limit of %d rack-days",
+		e.Racks[0], e.Racks[1], e.Days, MaxRackDays)
+}
+
+// CheckStudySize returns a *StudySizeError when the study opts describe
+// exceeds MaxRackDays. NewStudy applies the same check; the CLI flags
+// and the daemon's query parameters call it first, so an oversized
+// request fails before anything is built.
+func CheckStudySize(opts ...Option) error {
+	var cfg simulate.Config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return checkStudySize(cfg)
+}
+
+func checkStudySize(cfg simulate.Config) error {
+	e := &StudySizeError{Days: cfg.Days}
+	if e.Days == 0 {
+		e.Days = 930
+	}
+	// Non-positive rack overrides keep the paper default, as in topology.
+	for i, dc := range topology.DefaultDCs() {
+		e.Racks[i] = dc.Racks
+		if n := cfg.Topology.RacksPerDC[i]; n > 0 {
+			e.Racks[i] = n
+		}
+	}
+	// Compare without forming the product, which can overflow.
+	r1, r2 := e.Racks[0], e.Racks[1]
+	if r1 > MaxRackDays || r2 > MaxRackDays || e.Days > 0 && r1+r2 > MaxRackDays/e.Days {
+		return e
+	}
+	return nil
+}
+
 // SKU identifies a server configuration (S1-S7, Table III).
 type SKU = topology.SKU
 
@@ -215,6 +267,9 @@ func NewStudyContext(ctx context.Context, opts ...Option) (*Study, error) {
 		o(&cfg)
 	}
 	if err := cart.ValidateBins(cfg.CARTBins); err != nil {
+		return nil, fmt.Errorf("rainshine: %w", err)
+	}
+	if err := checkStudySize(cfg); err != nil {
 		return nil, fmt.Errorf("rainshine: %w", err)
 	}
 	d, err := figures.NewDataContext(ctx, cfg)

@@ -315,6 +315,25 @@ func TestAnalyzeClimateCSVErrors(t *testing.T) {
 	}
 }
 
+func TestNewStudyRejectsOversizedStudy(t *testing.T) {
+	_, err := NewStudy(WithRacks(1_000_000, 1_000_000))
+	var se *StudySizeError
+	if !errors.As(err, &se) || se.Racks != [2]int{1_000_000, 1_000_000} || se.Days != 930 {
+		t.Fatalf("NewStudy(WithRacks(1e6, 1e6)) err = %v, want *StudySizeError", err)
+	}
+	// The budget is the paper-scale fleet over the longest window the
+	// daemon accepts; the default window fits any fleet up to 2,443 racks.
+	if err := CheckStudySize(WithDays(3660)); err != nil {
+		t.Errorf("paper fleet over 3660 days rejected: %v", err)
+	}
+	if err := CheckStudySize(WithDays(3661)); err == nil {
+		t.Error("paper fleet over 3661 days accepted")
+	}
+	if err := CheckStudySize(WithRacks(1<<62, 1<<62)); err == nil {
+		t.Error("overflowing rack counts accepted")
+	}
+}
+
 func TestNewStudyRejectsBadBins(t *testing.T) {
 	// The check runs before any simulation, so even paper-scale options
 	// fail instantly.
