@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-fix-check test race bench bench-fleet bench-fleet-check bench-fleet-multicore stream-replay stream-replay-check serve-load soak repro golden outputs examples fuzz clean
+.PHONY: all build vet lint lint-fix lint-fix-check test race bench bench-fleet bench-fleet-check bench-fleet-multicore stream-replay stream-replay-check serve-load soak repro golden fuzz clean
 
 all: build vet lint test
 
@@ -133,20 +133,6 @@ golden:
 	{ bin/rainshine ablate && echo && bin/rainshine pooling && echo && \
 		bin/rainshine opex && echo && bin/rainshine predict; } > docs/extensions_seed42.txt
 
-# Record the canonical outputs referenced by EXPERIMENTS.md.
-outputs:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/spareprovisioning
-	$(GO) run ./examples/vendorselection
-	$(GO) run ./examples/climatecontrol
-	$(GO) run ./examples/failureprediction
-	$(GO) run ./examples/operations
-	$(GO) run ./examples/externaldata
-
 fuzz:
 	$(GO) test -fuzz FuzzReadFrameCSV -fuzztime 30s ./internal/export/
 	$(GO) test -fuzz FuzzNullBitmapRoundTrip -fuzztime 30s ./internal/export/
@@ -154,8 +140,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTicketsCSVRoundTrip -fuzztime 30s ./internal/export/
 	$(GO) test -fuzz FuzzIngestTickets -fuzztime 30s ./internal/ingest/
 	$(GO) test -fuzz FuzzQuantile -fuzztime 30s ./internal/stats/
-	$(GO) test -fuzz FuzzChiSquareCDF -fuzztime 30s ./internal/stats/
+	$(GO) test -fuzz FuzzServeQuery -fuzztime 30s ./internal/server/
 
 clean:
-	rm -f test_output.txt bench_output.txt
 	rm -rf .lintfix-scratch bin

@@ -38,10 +38,7 @@ type serveConfig struct {
 	chaosSeed        uint64
 
 	follow         string
-	followSeed     uint64
-	followDays     int
-	followRacks    string
-	followFaults   bool
+	followStudy    server.StudyConfig
 	followLateness int
 
 	cpuprofile string
@@ -144,6 +141,7 @@ func parseServeFlags(args []string) (serveConfig, error) {
 	if set["chaos-seed"] && !*chaos {
 		return serveConfig{}, errors.New("-chaos-seed requires -chaos")
 	}
+	var followStudy server.StudyConfig
 	if *follow == "" {
 		for _, name := range []string{"follow-seed", "follow-days", "follow-racks", "follow-faults", "follow-lateness"} {
 			if set[name] {
@@ -154,11 +152,19 @@ func parseServeFlags(args []string) (serveConfig, error) {
 		if *followDays < 1 {
 			return serveConfig{}, fmt.Errorf("-follow-days must be positive, got %d", *followDays)
 		}
+		followStudy = server.StudyConfig{Seed: *followSeed, Days: *followDays, Faults: *followFaults}
 		if *followRacks != "" {
-			if _, _, err := rainshine.ParseRacks(*followRacks); err != nil {
+			a, b, err := rainshine.ParseRacks(*followRacks)
+			if err != nil {
 				return serveConfig{}, fmt.Errorf("-follow-racks: %s",
 					strings.TrimPrefix(err.Error(), "rainshine: "))
 			}
+			followStudy.Racks = [2]int{a, b}
+		}
+		// The rack-day budget that -racks and the /v1 queries get: the
+		// follower builds this study's shell before reading the log.
+		if err := rainshine.CheckStudySize(followStudy.Options()...); err != nil {
+			return serveConfig{}, err
 		}
 	}
 	return serveConfig{
@@ -176,10 +182,7 @@ func parseServeFlags(args []string) (serveConfig, error) {
 		chaos:            *chaos,
 		chaosSeed:        *chaosSeed,
 		follow:           *follow,
-		followSeed:       *followSeed,
-		followDays:       *followDays,
-		followRacks:      *followRacks,
-		followFaults:     *followFaults,
+		followStudy:      followStudy,
 		followLateness:   *followLateness,
 		cpuprofile:       *cpuprofile,
 		memprofile:       *memprofile,
@@ -223,19 +226,9 @@ func (cfg serveConfig) serverConfig() server.Config {
 		sc.Chaos = &cc
 	}
 	if cfg.follow != "" {
-		study := server.StudyConfig{
-			Seed:   cfg.followSeed,
-			Days:   cfg.followDays,
-			Faults: cfg.followFaults,
-		}
-		if cfg.followRacks != "" {
-			// Validated by parseServeFlags; an error here is impossible.
-			a, b, _ := rainshine.ParseRacks(cfg.followRacks)
-			study.Racks = [2]int{a, b}
-		}
 		sc.Follow = &server.FollowConfig{
 			Path:     cfg.follow,
-			Study:    study,
+			Study:    cfg.followStudy,
 			Lateness: cfg.followLateness,
 		}
 	}
@@ -274,7 +267,7 @@ func serveCmd(args []string) (err error) {
 		cfg.addr, cfg.cache, cfg.timeout)
 	if cfg.follow != "" {
 		fmt.Fprintf(os.Stderr, "rainshine serve: following stream log %s (seed %d, %d days)\n",
-			cfg.follow, cfg.followSeed, cfg.followDays)
+			cfg.follow, cfg.followStudy.Seed, cfg.followStudy.Days)
 		go func() {
 			// A corrupt or unreadable log degrades /v1/stream (its state
 			// carries the error); the batch endpoints keep serving.

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rainshine"
 )
 
 // TestStreamWriteAndReplay writes a tiny study's stream log through the
@@ -93,6 +96,21 @@ func TestParseServeFollowFlags(t *testing.T) {
 	st := sc.Follow.Study
 	if st.Seed != 7 || st.Days != 120 || st.Racks != [2]int{6, 4} || !st.Faults {
 		t.Fatalf("follow study = %+v", st)
+	}
+
+	// The followed study gets the rack-day budget -racks gets, before the
+	// follower would allocate its shell.
+	for _, args := range [][]string{
+		{"-follow", "x.log", "-follow-racks", "1000000,1000000"},
+		{"-follow", "x.log", "-follow-days", "1000000"},
+	} {
+		var sizeErr *rainshine.StudySizeError
+		if _, err := parseServeFlags(args); !errors.As(err, &sizeErr) {
+			t.Errorf("parseServeFlags(%v) = %v, want a StudySizeError", args, err)
+		}
+	}
+	if _, err := parseServeFlags([]string{"-follow", "study.log", "-follow-days", "365", "-follow-racks", "120,100"}); err != nil {
+		t.Errorf("README's follow example rejected: %v", err)
 	}
 
 	// No -follow: no follower attached.

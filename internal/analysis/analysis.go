@@ -90,21 +90,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// Preorder walks every file in the pass in depth-first preorder,
-// invoking fn on each node matching one of the types of the values in
-// filter (or every node when filter is empty). It is the moral
-// equivalent of the x/tools inspect pass for a suite this size.
-func (p *Pass) Preorder(fn func(ast.Node)) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n != nil {
-				fn(n)
-			}
-			return true
-		})
-	}
-}
-
 // FuncFor returns the innermost enclosing function declaration or
 // literal for pos within file, or nil.
 func FuncFor(file *ast.File, pos token.Pos) ast.Node {

@@ -40,13 +40,12 @@ var Analyzer = &analysis.Analyzer{
 
 // mutators are the column-attaching frame methods (attach taint).
 var mutators = map[string]bool{
-	"AddContinuous":     true,
-	"AddNominalInts":    true,
-	"AddNominalStrings": true,
-	"AddOrdinalInts":    true,
-	"AddNominalCodes":   true,
-	"AddOrdinalCodes":   true,
-	"AddColumn":         true,
+	"AddContinuous":   true,
+	"AddNominalInts":  true,
+	"AddOrdinalInts":  true,
+	"AddNominalCodes": true,
+	"AddOrdinalCodes": true,
+	"AddColumn":       true,
 }
 
 // cellMutators are the null-bitmap writers on columns and chunks (deep

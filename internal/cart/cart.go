@@ -729,43 +729,13 @@ func (t *Tree) Predict(x []float64) (float64, error) {
 	return t.leafFor(x).Value, nil
 }
 
-// PredictProba returns the class-probability vector for one row of a
-// classification tree (the class frequencies of the reached leaf).
-func (t *Tree) PredictProba(x []float64) ([]float64, error) {
-	if t.Task != Classification {
-		return nil, errors.New("cart: PredictProba requires a classification tree")
-	}
-	if len(x) != len(t.Features) {
-		return nil, fmt.Errorf("cart: got %d features, want %d", len(x), len(t.Features))
-	}
-	leaf := t.leafFor(x)
-	out := make([]float64, len(leaf.ClassCounts))
-	total := 0.0
-	for _, c := range leaf.ClassCounts {
-		total += c
-	}
-	if total == 0 {
-		return out, nil
-	}
-	for i, c := range leaf.ClassCounts {
-		out[i] = c / total
-	}
-	return out, nil
-}
-
-// ProbaFrame returns, for every row of f, the probability of the class
-// with the given index (classification trees only). It is
-// ProbaFrameContext with context.Background() and a single worker.
-func (t *Tree) ProbaFrame(f *frame.Frame, class int) ([]float64, error) {
-	return t.ProbaFrameContext(context.Background(), f, class, 1)
-}
-
-// ProbaFrameContext is ProbaFrame with the per-row routing fanned over
-// workers (rows are independent; the output is index-addressed, so the
-// result is identical for every worker count).
+// ProbaFrameContext returns, for every row of f, the probability of the
+// class with the given index (classification trees only). The per-row
+// routing is fanned over workers (rows are independent; the output is
+// index-addressed, so the result is identical for every worker count).
 func (t *Tree) ProbaFrameContext(ctx context.Context, f *frame.Frame, class, workers int) ([]float64, error) {
 	if t.Task != Classification {
-		return nil, errors.New("cart: ProbaFrame requires a classification tree")
+		return nil, errors.New("cart: ProbaFrameContext requires a classification tree")
 	}
 	if class < 0 || class >= len(t.ClassLevels) {
 		return nil, fmt.Errorf("cart: class %d out of range [0,%d)", class, len(t.ClassLevels))
@@ -790,15 +760,9 @@ func (t *Tree) ProbaFrameContext(ctx context.Context, f *frame.Frame, class, wor
 	return out, nil
 }
 
-// PredictFrame predicts every row of f, which must contain the tree's
-// feature columns. It is PredictFrameContext with context.Background()
-// and a single worker.
-func (t *Tree) PredictFrame(f *frame.Frame) ([]float64, error) {
-	return t.PredictFrameContext(context.Background(), f, 1)
-}
-
-// PredictFrameContext is PredictFrame with the per-row routing fanned
-// over workers; results are identical for every worker count.
+// PredictFrameContext predicts every row of f, which must contain the
+// tree's feature columns, with the per-row routing fanned over workers;
+// results are identical for every worker count.
 func (t *Tree) PredictFrameContext(ctx context.Context, f *frame.Frame, workers int) ([]float64, error) {
 	cols, err := t.featureCols(f)
 	if err != nil {

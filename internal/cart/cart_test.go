@@ -1,6 +1,7 @@
 package cart
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -286,7 +287,7 @@ func TestPredictFrameMatchesLeafMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := tree.PredictFrame(f)
+	preds, err := tree.PredictFrameContext(context.Background(), f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

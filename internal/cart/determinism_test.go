@@ -1,6 +1,7 @@
 package cart
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -94,7 +95,7 @@ func TestPredictFrameWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tree.PredictFrame(f)
+	want, err := tree.PredictFrameContext(context.Background(), f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

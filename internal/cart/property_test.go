@@ -1,6 +1,7 @@
 package cart
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -71,7 +72,7 @@ func TestPropPredictionsWithinTargetRange(t *testing.T) {
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
 		}
-		preds, err := tree.PredictFrame(fr)
+		preds, err := tree.PredictFrameContext(context.Background(), fr, 1)
 		if err != nil {
 			return false
 		}

@@ -1,26 +1,20 @@
-// Package core is the paper's primary contribution: the multi-factor
-// (MF) analysis framework of Section V. It ties the CART learner and the
-// partial-dependence machinery into the two question-category workflows:
+// Package core is the Cat. 1 workflow of the paper's multi-factor (MF)
+// analysis framework (Section V): Cluster splits a population (racks)
+// into groups with homogeneous failure behaviour by fitting a regression
+// tree Metric ~ X1..Xn and reading its leaves. Downstream decisions
+// (spare provisioning) are then made per group instead of from one
+// pooled distribution.
 //
-//   - Cat. 1 (aggregate behaviour): Cluster splits a population (racks)
-//     into groups with homogeneous failure behaviour by fitting a
-//     regression tree Metric ~ X1..Xn and reading its leaves. Downstream
-//     decisions (spare provisioning) are then made per group instead of
-//     from one pooled distribution.
-//
-//   - Cat. 2 (decision-variable influence): Marginal quantifies the
-//     effect of one variable on the metric with the influence of every
-//     other observed factor normalized out — the paper's
-//     "Metric ~ X1, N(X2), ..., N(Xn)" procedure.
+// Cat. 2 (one variable's influence with every other factor normalized
+// out) lives elsewhere: pdp.Standardize and pdp.PairedContrast (Q2), and
+// the splits of the environment tree in envan (Q3).
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"rainshine/internal/cart"
 	"rainshine/internal/frame"
-	"rainshine/internal/pdp"
 )
 
 // Clustering is the result of a Cat.-1 analysis: a fitted tree and the
@@ -91,53 +85,4 @@ func ClusterCV(f *frame.Frame, metric string, features []string, cfg cart.Config
 	}
 	cfg.CP = cp
 	return Cluster(f, metric, features, cfg, maxLeaves)
-}
-
-// MarginalResult is the outcome of a Cat.-2 analysis.
-type MarginalResult struct {
-	// Effects holds one adjusted effect per level of the variable of
-	// interest (from direct standardization).
-	Effects []pdp.LevelEffect
-	// PDP holds the tree-based partial dependence curve, when a tree
-	// was fitted (categorical and continuous variables alike).
-	PDP []pdp.Point
-	// Tree is the fitted MF model, exposed for inspection of splits
-	// (e.g. the T=78°F / RH=25% thresholds of Fig 18).
-	Tree *cart.Tree
-}
-
-// Marginal quantifies the influence of `of` on `metric`, normalizing the
-// named covariates. Categorical covariates are used as-is; continuous
-// covariates must have been binned (pdp.BinContinuous) by the caller for
-// the standardization path. A CART model over all variables provides the
-// partial-dependence view.
-func Marginal(f *frame.Frame, metric, of string, covariates []string, cfg cart.Config) (*MarginalResult, error) {
-	if len(covariates) == 0 {
-		return nil, errors.New("core: marginal analysis needs covariates to normalize")
-	}
-	cfg.Task = cart.Regression
-	all := append([]string{of}, covariates...)
-	tree, err := cart.Fit(f, metric, all, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: marginal: %w", err)
-	}
-	curve, err := pdp.Compute(tree, f, of, 0)
-	if err != nil {
-		return nil, err
-	}
-	res := &MarginalResult{PDP: curve, Tree: tree}
-	// Standardization applies when the variable of interest is
-	// categorical.
-	col, err := f.Col(of)
-	if err != nil {
-		return nil, err
-	}
-	if col.Kind != frame.Continuous {
-		effects, err := pdp.Standardize(f, metric, of, covariates)
-		if err != nil {
-			return nil, fmt.Errorf("core: standardization: %w", err)
-		}
-		res.Effects = effects
-	}
-	return res, nil
 }

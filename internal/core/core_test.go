@@ -106,138 +106,6 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
-func TestMarginalCategorical(t *testing.T) {
-	// Confounded SKU-style setup: of=sku (true 2x), covariate dc (2x),
-	// placement correlated.
-	n := 3000
-	src := rng.New(22)
-	sku := make([]int, n)
-	dc := make([]int, n)
-	y := make([]float64, n)
-	for i := range y {
-		sku[i] = src.IntN(2)
-		p := 0.15
-		if sku[i] == 1 {
-			p = 0.85
-		}
-		if src.Float64() < p {
-			dc[i] = 1
-		}
-		rate := 1.0
-		if sku[i] == 1 {
-			rate *= 2
-		}
-		if dc[i] == 1 {
-			rate *= 2
-		}
-		y[i] = rate + src.NormFloat64()*0.1
-	}
-	f := frame.New(n)
-	if err := f.AddNominalInts("sku", sku, []string{"S4", "S2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddNominalInts("dc", dc, []string{"DC2", "DC1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddContinuous("y", y); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Marginal(f, "y", "sku", []string{"dc"}, cart.Config{MaxDepth: 3, CP: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Effects) != 2 || len(res.PDP) != 2 {
-		t.Fatalf("effects = %d, pdp = %d", len(res.Effects), len(res.PDP))
-	}
-	var s2, s4 float64
-	for _, e := range res.Effects {
-		if e.Level == "S2" {
-			s2 = e.Mean
-		} else {
-			s4 = e.Mean
-		}
-	}
-	if ratio := s2 / s4; math.Abs(ratio-2) > 0.3 {
-		t.Errorf("adjusted ratio = %v, want ~2", ratio)
-	}
-	if res.Tree == nil {
-		t.Error("tree missing from result")
-	}
-}
-
-func TestMarginalContinuous(t *testing.T) {
-	// Continuous variable of interest: only PDP applies, no Effects.
-	n := 1000
-	src := rng.New(23)
-	temp := make([]float64, n)
-	dc := make([]int, n)
-	y := make([]float64, n)
-	for i := range y {
-		temp[i] = 56 + src.Float64()*34
-		dc[i] = src.IntN(2)
-		if dc[i] == 0 && temp[i] > 78 {
-			y[i] = 1.5
-		} else {
-			y[i] = 1.0
-		}
-		y[i] += src.NormFloat64() * 0.05
-	}
-	f := frame.New(n)
-	if err := f.AddContinuous("temp", temp); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddNominalInts("dc", dc, []string{"DC1", "DC2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddContinuous("y", y); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Marginal(f, "y", "temp", []string{"dc"}, cart.Config{MaxDepth: 3, CP: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Effects != nil {
-		t.Error("continuous variable should not produce standardized effects")
-	}
-	if len(res.PDP) < 3 {
-		t.Fatalf("PDP points = %d", len(res.PDP))
-	}
-	// The PDP must rise past 78F.
-	var below, above []float64
-	for _, p := range res.PDP {
-		if p.Value <= 75 {
-			below = append(below, p.Effect)
-		}
-		if p.Value >= 80 {
-			above = append(above, p.Effect)
-		}
-	}
-	if len(below) == 0 || len(above) == 0 {
-		t.Fatal("PDP grid missed the threshold region")
-	}
-	if mean(above) <= mean(below) {
-		t.Errorf("PDP above 80F (%v) not higher than below 75F (%v)", mean(above), mean(below))
-	}
-}
-
-func TestMarginalErrors(t *testing.T) {
-	f := groupedFrame(t, 100)
-	if _, err := Marginal(f, "y", "dc", nil, cart.Config{}); err == nil {
-		t.Error("no covariates should error")
-	}
-	if _, err := Marginal(f, "y", "nope", []string{"dc"}, cart.Config{}); err == nil {
-		t.Error("missing variable should error")
-	}
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 func TestClusterCV(t *testing.T) {
 	f := groupedFrame(t, 600)
 	c, err := ClusterCV(f, "y", []string{"dc", "power"}, cart.Config{MaxDepth: 5, MinSplit: 8, MinLeaf: 4}, 10, 5, 1)

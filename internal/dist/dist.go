@@ -1,7 +1,6 @@
 // Package dist implements the probability distributions the simulator
-// draws from: Poisson failure counts, Exponential/Weibull lifetimes,
-// Normal/LogNormal repair durations, Bernoulli outcomes, and Categorical
-// mixtures (alias method).
+// draws from: Poisson failure counts, LogNormal repair durations,
+// Bernoulli outcomes, and Categorical mixtures (alias method).
 //
 // Samplers take an explicit *rng.Source so every draw is attributable to
 // a labelled deterministic stream.
@@ -95,88 +94,6 @@ func poissonPTRS(src *rng.Source, lambda float64) int {
 			return int(k)
 		}
 	}
-}
-
-// Exponential is an exponential distribution with the given Rate (1/mean).
-type Exponential struct {
-	Rate float64
-}
-
-var _ Sampler = Exponential{}
-
-// Sample draws an exponential variate.
-func (e Exponential) Sample(src *rng.Source) float64 {
-	return src.ExpFloat64() / e.Rate
-}
-
-// CDF returns P(X <= x).
-func (e Exponential) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-e.Rate*x)
-}
-
-// Mean returns 1/Rate.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Weibull is a Weibull distribution with shape K and scale Lambda.
-// K < 1 gives the decreasing-hazard (infant mortality) regime; K > 1 the
-// increasing-hazard (wear-out) regime — the two ends of the bathtub.
-type Weibull struct {
-	K      float64 // shape
-	Lambda float64 // scale
-}
-
-var _ Sampler = Weibull{}
-
-// Sample draws a Weibull variate by inverse transform.
-func (w Weibull) Sample(src *rng.Source) float64 {
-	u := src.Float64()
-	// Avoid log(0).
-	for u == 0 {
-		u = src.Float64()
-	}
-	return w.Lambda * math.Pow(-math.Log(u), 1/w.K)
-}
-
-// CDF returns P(X <= x).
-func (w Weibull) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-math.Pow(x/w.Lambda, w.K))
-}
-
-// Hazard returns the instantaneous hazard rate at age x.
-func (w Weibull) Hazard(x float64) float64 {
-	if x <= 0 {
-		x = math.SmallestNonzeroFloat64
-	}
-	return (w.K / w.Lambda) * math.Pow(x/w.Lambda, w.K-1)
-}
-
-// Mean returns the distribution mean.
-func (w Weibull) Mean() float64 {
-	return w.Lambda * math.Gamma(1+1/w.K)
-}
-
-// Normal is a normal distribution.
-type Normal struct {
-	Mu    float64
-	Sigma float64
-}
-
-var _ Sampler = Normal{}
-
-// Sample draws a normal variate.
-func (n Normal) Sample(src *rng.Source) float64 {
-	return n.Mu + n.Sigma*src.NormFloat64()
-}
-
-// CDF returns P(X <= x).
-func (n Normal) CDF(x float64) float64 {
-	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
 }
 
 // LogNormal is the distribution of exp(N(Mu, Sigma)). Repair durations

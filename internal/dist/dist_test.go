@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"rainshine/internal/rng"
 	"rainshine/internal/stats"
@@ -94,88 +93,6 @@ func TestPoissonPMFMatchesSamples(t *testing.T) {
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("P(X=%d): sampled %v, pmf %v", k, got, want)
 		}
-	}
-}
-
-func TestExponential(t *testing.T) {
-	src := rng.New(11)
-	e := Exponential{Rate: 0.5}
-	xs := sampleN(e, src, 40000)
-	if m := stats.Mean(xs); math.Abs(m-2) > 0.05 {
-		t.Errorf("mean = %v, want 2", m)
-	}
-	if got := e.CDF(0); got != 0 {
-		t.Errorf("CDF(0) = %v", got)
-	}
-	if got := e.CDF(-1); got != 0 {
-		t.Errorf("CDF(-1) = %v", got)
-	}
-	if got, want := e.CDF(2), 1-math.Exp(-1); math.Abs(got-want) > 1e-12 {
-		t.Errorf("CDF(2) = %v, want %v", got, want)
-	}
-	if e.Mean() != 2 {
-		t.Errorf("Mean = %v", e.Mean())
-	}
-}
-
-func TestWeibullRegimes(t *testing.T) {
-	// Shape < 1: hazard decreasing; shape > 1: increasing.
-	infant := Weibull{K: 0.5, Lambda: 100}
-	if infant.Hazard(1) <= infant.Hazard(10) {
-		t.Error("K<1 hazard should decrease with age")
-	}
-	wearout := Weibull{K: 3, Lambda: 100}
-	if wearout.Hazard(1) >= wearout.Hazard(10) {
-		t.Error("K>1 hazard should increase with age")
-	}
-	// K=1 reduces to Exponential.
-	exp1 := Weibull{K: 1, Lambda: 2}
-	if math.Abs(exp1.Hazard(1)-0.5) > 1e-9 || math.Abs(exp1.Hazard(7)-0.5) > 1e-9 {
-		t.Error("K=1 hazard should be constant 1/lambda")
-	}
-}
-
-func TestWeibullMoments(t *testing.T) {
-	src := rng.New(13)
-	w := Weibull{K: 2, Lambda: 10}
-	xs := sampleN(w, src, 40000)
-	want := w.Mean() // 10*Gamma(1.5) = 8.862...
-	if m := stats.Mean(xs); math.Abs(m-want)/want > 0.02 {
-		t.Errorf("mean = %v, want %v", m, want)
-	}
-}
-
-func TestWeibullCDFInverseProperty(t *testing.T) {
-	w := Weibull{K: 1.7, Lambda: 5}
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		x := w.Sample(src)
-		c := w.CDF(x)
-		return x >= 0 && c >= 0 && c <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	if w.CDF(-3) != 0 {
-		t.Error("CDF(-3) should be 0")
-	}
-}
-
-func TestNormal(t *testing.T) {
-	src := rng.New(17)
-	n := Normal{Mu: 5, Sigma: 2}
-	xs := sampleN(n, src, 40000)
-	if m := stats.Mean(xs); math.Abs(m-5) > 0.05 {
-		t.Errorf("mean = %v", m)
-	}
-	if sd := stats.StdDev(xs); math.Abs(sd-2) > 0.05 {
-		t.Errorf("sd = %v", sd)
-	}
-	if got := n.CDF(5); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("CDF(mu) = %v", got)
-	}
-	if got := n.CDF(5 + 2*1.959964); math.Abs(got-0.975) > 1e-4 {
-		t.Errorf("CDF(mu+1.96sd) = %v", got)
 	}
 }
 

@@ -114,6 +114,25 @@ func TestCommonMultiplierFactors(t *testing.T) {
 	}
 }
 
+func TestStressMultiplier(t *testing.T) {
+	if stressMultiplier(0.5) != 1 {
+		t.Errorf("neutral point = %v", stressMultiplier(0.5))
+	}
+	if stressMultiplier(1.0) <= stressMultiplier(0.5) {
+		t.Error("full load should stress more than half load")
+	}
+	if stressMultiplier(0.0) >= 1 {
+		t.Error("idle should stress less than neutral")
+	}
+	// Clamping.
+	if stressMultiplier(5) != stressMultiplier(1) {
+		t.Error("over-unity utilization should clamp")
+	}
+	if stressMultiplier(-3) != stressMultiplier(0) {
+		t.Error("negative utilization should clamp")
+	}
+}
+
 func TestSKUIntrinsicRatio(t *testing.T) {
 	p := DefaultParams()
 	ratio := p.SKU[topology.S2] / p.SKU[topology.S4]

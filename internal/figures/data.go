@@ -137,19 +137,13 @@ type Data struct {
 	memo atomic.Pointer[sync.Map]
 }
 
-// NewData runs a simulation and wraps its result. In dirty-data mode
-// (cfg.Faults set) the recorded streams pass through the ingest
+// NewDataContext runs a simulation and wraps its result. In dirty-data
+// mode (cfg.Faults set) the recorded streams pass through the ingest
 // quarantine/repair pipeline before any analysis sees them; the clean
 // path skips scrubbing entirely so results stay bit-identical to the
-// seed runs. NewData is NewDataContext with context.Background(); use
-// that variant to make the simulation cancellable.
-func NewData(cfg simulate.Config) (*Data, error) {
-	return NewDataContext(context.Background(), cfg)
-}
-
-// NewDataContext is NewData under a context: cancellation aborts the
-// simulation (and skips the dirty-data scrub) instead of running it to
-// completion for a caller that is no longer listening.
+// seed runs. Cancellation aborts the simulation (and skips the
+// dirty-data scrub) instead of running it to completion for a caller
+// that is no longer listening.
 func NewDataContext(ctx context.Context, cfg simulate.Config) (*Data, error) {
 	res, err := simulate.RunContext(ctx, cfg)
 	if err != nil {

@@ -106,11 +106,10 @@ func (d *Data) fig1() ([]CDFSeries, error) {
 		return nil, err
 	}
 	toSeries := func(name string, fractions []float64) (CDFSeries, error) {
-		e, err := stats.NewECDF(fractions)
+		xs, ps, err := stats.ECDF(fractions)
 		if err != nil {
 			return CDFSeries{}, err
 		}
-		xs, ps := e.Points()
 		for i := range xs {
 			xs[i] *= 100 // percent failed servers
 		}
@@ -378,11 +377,10 @@ func (d *Data) fig11() ([]ClusterCDFs, error) {
 			if len(fractions) == 0 {
 				return nil
 			}
-			e, err := stats.NewECDF(fractions)
+			xs, ps, err := stats.ECDF(fractions)
 			if err != nil {
 				return err
 			}
-			xs, ps := e.Points()
 			for i := range xs {
 				xs[i] *= 100
 			}

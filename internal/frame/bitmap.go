@@ -28,14 +28,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Clear unmarks row i.
-func (b *Bitmap) Clear(i int) {
-	if i < 0 || i >= b.n {
-		panic("frame: bitmap index out of range")
-	}
-	b.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Get reports whether row i is marked. Out-of-range indices are false,
 // so a nil-safe wrapper can pass through without bounds juggling.
 func (b *Bitmap) Get(i int) bool {

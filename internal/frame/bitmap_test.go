@@ -24,10 +24,6 @@ func TestBitmapBasics(t *testing.T) {
 	if b.Get(1) || b.Get(-1) || b.Get(130) {
 		t.Error("unset/out-of-range rows must read false")
 	}
-	b.Clear(63)
-	if b.Get(63) || b.Count() != 3 {
-		t.Errorf("after Clear(63): get=%v count=%d", b.Get(63), b.Count())
-	}
 	cl := b.Clone()
 	cl.Set(5)
 	if b.Get(5) {

@@ -1,5 +1,5 @@
 // Package frame provides a columnar data frame: the tabular substrate
-// that CART, partial dependence, and every figure pipeline consume.
+// that CART, direct standardization, and every figure pipeline consume.
 //
 // The paper's feature table (Table III) mixes continuous (temperature,
 // RH, age), nominal (SKU, workload, DC, rack), and ordinal (day, week,
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -168,29 +167,6 @@ func (f *Frame) addTyped(name string, kind Kind, codes []uint8, levels []string)
 // a derived frame without re-coding through the typed constructors.
 func (f *Frame) AddColumn(c Column) error { return f.add(c) }
 
-// AddNominalStrings appends a nominal column from string labels,
-// building the level set from the distinct labels in sorted order.
-func (f *Frame) AddNominalStrings(name string, labels []string) error {
-	set := map[string]bool{}
-	for _, l := range labels {
-		set[l] = true
-	}
-	levels := make([]string, 0, len(set))
-	for l := range set {
-		levels = append(levels, l)
-	}
-	sort.Strings(levels)
-	lookup := make(map[string]int, len(levels))
-	for i, l := range levels {
-		lookup[l] = i
-	}
-	codes := make([]int, len(labels))
-	for i, l := range labels {
-		codes[i] = lookup[l]
-	}
-	return f.addCoded(name, Nominal, codes, levels)
-}
-
 func (f *Frame) add(c Column) error {
 	if c.Name == "" {
 		return errors.New("frame: empty column name")
@@ -226,15 +202,6 @@ func (f *Frame) MustCol(name string) *Column {
 		panic(err)
 	}
 	return c
-}
-
-// ColIndex returns the positional index of the named column.
-func (f *Frame) ColIndex(name string) (int, error) {
-	i, ok := f.index[name]
-	if !ok {
-		return 0, fmt.Errorf("frame: no column %q", name)
-	}
-	return i, nil
 }
 
 // ColAt returns the column at position i.

@@ -69,13 +69,6 @@ func TestColLookup(t *testing.T) {
 	if _, err := f.Col("nope"); err == nil {
 		t.Error("missing column should error")
 	}
-	i, err := f.ColIndex("dow")
-	if err != nil || i != 2 {
-		t.Errorf("ColIndex = %d, %v", i, err)
-	}
-	if _, err := f.ColIndex("nope"); err == nil {
-		t.Error("missing index should error")
-	}
 	if f.ColAt(0).Name != "temp" {
 		t.Error("ColAt(0) wrong")
 	}
@@ -209,23 +202,6 @@ func TestValueErrors(t *testing.T) {
 	}
 	if _, err := f.Value(4, "temp"); err == nil {
 		t.Error("row past end should error")
-	}
-}
-
-func TestAddNominalStrings(t *testing.T) {
-	f := New(4)
-	if err := f.AddNominalStrings("dc", []string{"DC2", "DC1", "DC2", "DC1"}); err != nil {
-		t.Fatal(err)
-	}
-	c := f.MustCol("dc")
-	if len(c.Levels) != 2 || c.Levels[0] != "DC1" || c.Levels[1] != "DC2" {
-		t.Fatalf("levels = %v", c.Levels)
-	}
-	if c.Data != nil {
-		t.Fatalf("2-level nominal should use typed uint8 storage, got Data = %v", c.Data)
-	}
-	if cs := c.Codes(); cs[0] != 1 || cs[1] != 0 {
-		t.Fatalf("codes = %v", cs)
 	}
 }
 

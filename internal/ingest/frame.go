@@ -92,18 +92,3 @@ func SanitizeFrame(f *frame.Frame, required []string, rep *Report) (*FrameQualit
 	}
 	return q, nil
 }
-
-// AvailableFeatures filters a candidate feature list to the columns the
-// frame actually carries — the graceful-degradation path for frames
-// with missing factor columns. The second return lists what was
-// dropped.
-func AvailableFeatures(f *frame.Frame, candidates []string) (have, dropped []string) {
-	for _, name := range candidates {
-		if _, err := f.Col(name); err != nil {
-			dropped = append(dropped, name)
-			continue
-		}
-		have = append(have, name)
-	}
-	return have, dropped
-}

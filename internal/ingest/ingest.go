@@ -145,15 +145,6 @@ func (r *Report) TicketCoverage() float64 {
 	return float64(r.TicketsKept) / float64(r.TicketsIn)
 }
 
-// SensorNativeCoverage is the fraction of rack-day readings observed
-// directly (neither imputed nor missing).
-func (r *Report) SensorNativeCoverage() float64 {
-	if r.SensorSamples == 0 {
-		return 1
-	}
-	return float64(r.SensorNative) / float64(r.SensorSamples)
-}
-
 // SensorCoverage is the fraction of rack-day readings usable after
 // repair (native plus imputed).
 func (r *Report) SensorCoverage() float64 {

@@ -194,14 +194,3 @@ func TestSanitizeFrame(t *testing.T) {
 		t.Errorf("missing column count = %d", rep.Quarantined[MissingColumn])
 	}
 }
-
-func TestAvailableFeatures(t *testing.T) {
-	f := frame.New(2)
-	if err := f.AddContinuous("temp", []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	have, dropped := AvailableFeatures(f, []string{"temp", "power_kw"})
-	if !reflect.DeepEqual(have, []string{"temp"}) || !reflect.DeepEqual(dropped, []string{"power_kw"}) {
-		t.Errorf("have=%v dropped=%v", have, dropped)
-	}
-}

@@ -90,34 +90,6 @@ func (d *WindowDist) Max() int {
 	return 0
 }
 
-// Quantile returns the smallest count c with P(μ <= c) >= p.
-func (d *WindowDist) Quantile(p float64) int {
-	if d.Windows == 0 {
-		return 0
-	}
-	target := p * float64(d.Windows)
-	cum := int64(0)
-	for c, n := range d.Counts {
-		cum += n
-		if float64(cum) >= target {
-			return c
-		}
-	}
-	return len(d.Counts) - 1
-}
-
-// Mean returns the average μ per window.
-func (d *WindowDist) Mean() float64 {
-	if d.Windows == 0 {
-		return 0
-	}
-	sum := 0.0
-	for c, n := range d.Counts {
-		sum += float64(c) * float64(n)
-	}
-	return sum / float64(d.Windows)
-}
-
 // MuDistributions computes per-rack μ distributions counting only the
 // given component classes. Windows before a rack's commission day are
 // excluded.

@@ -27,15 +27,9 @@ func TestWindowDistBasics(t *testing.T) {
 	if d.Max() != 2 {
 		t.Errorf("Max = %d", d.Max())
 	}
-	if d.Quantile(0.5) != 0 || d.Quantile(0.95) != 1 || d.Quantile(1.0) != 2 {
-		t.Errorf("quantiles = %d %d %d", d.Quantile(0.5), d.Quantile(0.95), d.Quantile(1.0))
-	}
-	if got := d.Mean(); got != 0.12 {
-		t.Errorf("Mean = %v", got)
-	}
 	empty := WindowDist{}
-	if empty.Max() != 0 || empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Error("empty dist should be all zero")
+	if empty.Max() != 0 {
+		t.Error("empty dist should have max 0")
 	}
 }
 

@@ -3,118 +3,23 @@
 // "normalizing the effect of all observed parameters other than the
 // parameter of interest" (Section V-C).
 //
-// Two estimators are provided:
-//
-//   - Partial dependence (Hastie et al.): for each candidate value v of
-//     the variable of interest X1, set X1 = v for every training row and
-//     average the tree's predictions. Marginalizes over the empirical
-//     joint of the other factors.
-//
-//   - Direct standardization: stratify the data by the observed
-//     combinations of the other factors, compute the per-stratum mean of
-//     the metric for each X1 level, and average strata with fixed
-//     (X1-independent) weights. This needs no model and is the classical
-//     epidemiological adjustment; it is what Fig 15's "MF approach"
-//     amounts to.
+// The estimator is direct standardization: stratify the data by the
+// observed combinations of the other factors, compute the per-stratum
+// mean of the metric for each level of the variable of interest, and
+// average strata with fixed (level-independent) weights. This needs no
+// model and is the classical epidemiological adjustment; it is what
+// Fig 15's "MF approach" amounts to. PairedContrast is its two-level
+// form for Q2's SKU comparison.
 package pdp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
-	"rainshine/internal/cart"
 	"rainshine/internal/frame"
 	"rainshine/internal/stats"
 )
-
-// Point is one (value, effect) pair of a partial dependence curve.
-type Point struct {
-	// Value is the probed value of the variable of interest; for
-	// categorical variables it is the level index and Label names it.
-	Value float64
-	Label string
-	// Effect is the marginalized model response at Value.
-	Effect float64
-}
-
-// Compute evaluates the partial dependence of tree's response on the
-// named feature over frame f. For a continuous feature the curve is
-// evaluated at up to gridSize quantile-spaced points; for categorical
-// features at every level.
-func Compute(tree *cart.Tree, f *frame.Frame, feature string, gridSize int) ([]Point, error) {
-	if gridSize <= 0 {
-		gridSize = 20
-	}
-	fi := -1
-	for i, feat := range tree.Features {
-		if feat.Name == feature {
-			fi = i
-			break
-		}
-	}
-	if fi < 0 {
-		return nil, fmt.Errorf("pdp: tree has no feature %q", feature)
-	}
-	feat := tree.Features[fi]
-	col, err := f.Col(feature)
-	if err != nil {
-		return nil, err
-	}
-	var grid []Point
-	if feat.Kind == frame.Nominal || feat.Kind == frame.Ordinal {
-		for li, lvl := range feat.Levels {
-			grid = append(grid, Point{Value: float64(li), Label: lvl})
-		}
-	} else {
-		grid = continuousGrid(col.Data, gridSize)
-	}
-	// Materialize the feature matrix once.
-	cols := make([][]float64, len(tree.Features))
-	for i, tf := range tree.Features {
-		c, err := f.Col(tf.Name)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c.Values()
-	}
-	x := make([]float64, len(cols))
-	for gi := range grid {
-		sum := 0.0
-		for r := 0; r < f.NumRows(); r++ {
-			for i, c := range cols {
-				x[i] = c[r]
-			}
-			x[fi] = grid[gi].Value
-			p, err := tree.Predict(x)
-			if err != nil {
-				return nil, err
-			}
-			sum += p
-		}
-		grid[gi].Effect = sum / float64(f.NumRows())
-	}
-	return grid, nil
-}
-
-// continuousGrid returns quantile-spaced probe points over data.
-func continuousGrid(data []float64, gridSize int) []Point {
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	var pts []Point
-	seen := map[float64]bool{}
-	for i := 0; i < gridSize; i++ {
-		p := float64(i) / float64(gridSize-1)
-		k := int(p * float64(len(sorted)-1))
-		v := sorted[k]
-		if !seen[v] {
-			seen[v] = true
-			pts = append(pts, Point{Value: v})
-		}
-	}
-	return pts
-}
 
 // LevelEffect summarizes the adjusted metric for one level of the
 // variable of interest.

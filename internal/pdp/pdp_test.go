@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"rainshine/internal/cart"
 	"rainshine/internal/frame"
 	"rainshine/internal/rng"
 	"rainshine/internal/stats"
@@ -155,87 +154,6 @@ func TestStandardizeNoOverlap(t *testing.T) {
 	}
 	if _, err := Standardize(f, "y", "sku", []string{"dc"}); err == nil {
 		t.Error("perfectly confounded data should error, not silently return naive answer")
-	}
-}
-
-func TestComputePDPOnTree(t *testing.T) {
-	f := confoundedFrame(t, 4000)
-	tree, err := cart.Fit(f, "y", []string{"sku", "dc"}, cart.Config{Task: cart.Regression, MaxDepth: 3, CP: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := Compute(tree, f, "sku", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %+v", pts)
-	}
-	var good, bad float64
-	for _, p := range pts {
-		switch p.Label {
-		case "good":
-			good = p.Effect
-		case "bad":
-			bad = p.Effect
-		}
-	}
-	// PDP marginalizes over the empirical DC distribution, so the ratio
-	// should approach the true 2x, far from the naive ~3.3x.
-	ratio := bad / good
-	if ratio < 1.6 || ratio > 2.6 {
-		t.Errorf("PDP ratio = %v, want ~2", ratio)
-	}
-}
-
-func TestComputePDPContinuousGrid(t *testing.T) {
-	n := 1000
-	src := rng.New(4)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = src.Float64() * 100
-		if x[i] > 50 {
-			y[i] = 1
-		}
-	}
-	f := frame.New(n)
-	if err := f.AddContinuous("x", x); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddContinuous("y", y); err != nil {
-		t.Fatal(err)
-	}
-	tree, err := cart.Fit(f, "y", []string{"x"}, cart.Config{Task: cart.Regression, MaxDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := Compute(tree, f, "x", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) < 5 || len(pts) > 11 {
-		t.Fatalf("grid size = %d", len(pts))
-	}
-	// Effect must be (weakly) increasing for this monotone relationship.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Effect < pts[i-1].Effect-1e-9 {
-			t.Errorf("PDP not monotone at %d: %v -> %v", i, pts[i-1].Effect, pts[i].Effect)
-		}
-	}
-}
-
-func TestComputeErrors(t *testing.T) {
-	f := confoundedFrame(t, 200)
-	tree, err := cart.Fit(f, "y", []string{"sku"}, cart.Config{Task: cart.Regression})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compute(tree, f, "dc", 0); err == nil {
-		t.Error("feature not in tree should error")
-	}
-	if _, err := Compute(tree, frame.New(0), "sku", 0); err == nil {
-		t.Error("frame without columns should error")
 	}
 }
 

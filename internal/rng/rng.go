@@ -57,17 +57,11 @@ func (s *Source) SplitIndex(label string, i int) *Source {
 	return New(s.seed ^ h.Sum64())
 }
 
-// Rand exposes the underlying *rand.Rand for use with stdlib helpers.
-func (s *Source) Rand() *rand.Rand { return s.rand }
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 { return s.rand.Float64() }
 
 // NormFloat64 returns a standard normal variate.
 func (s *Source) NormFloat64() float64 { return s.rand.NormFloat64() }
-
-// ExpFloat64 returns an Exp(1) variate.
-func (s *Source) ExpFloat64() float64 { return s.rand.ExpFloat64() }
 
 // IntN returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand/v2 semantics.

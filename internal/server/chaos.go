@@ -34,11 +34,11 @@ func (s *Server) chaosMiddleware(next http.Handler) http.Handler {
 		}
 		seq := s.chaos.seq.Add(1)
 		if d := s.chaos.ch.Latency(seq); d > 0 {
-			s.metrics.ChaosLatency()
+			s.metrics.inc(chaosLatencies)
 			sleepCtx(r.Context(), d)
 		}
 		if chunk, delay, ok := s.chaos.ch.SlowClient(seq); ok {
-			s.metrics.ChaosSlowClient()
+			s.metrics.inc(chaosSlowClients)
 			w = &slowWriter{ResponseWriter: w, chunk: chunk, delay: delay, ctx: r.Context()}
 		}
 		next.ServeHTTP(w, r)
@@ -103,7 +103,7 @@ func chaosBuildFunc(inner buildFunc, ch *faults.Chaos, m *Metrics) buildFunc {
 		n := attempts[key]
 		mu.Unlock()
 		if err := ch.BuildFault(key, n); err != nil {
-			m.ChaosBuildFault()
+			m.inc(chaosBuildFaults)
 			return nil, err
 		}
 		return inner(ctx, cfg)

@@ -19,13 +19,53 @@ const latencyWindow = 4096
 type Metrics struct {
 	start time.Time
 
+	// mu guards every field below. The counters share it, rather than
+	// each being atomic, because Snapshot derives builds in flight from
+	// four of them and must read them together.
 	mu        sync.Mutex
 	endpoints map[string]*endpointStats
-	cache     CacheCounters
-	builds    BuildCounters
-	res       ResilienceCounters
+	counts    [numCounters]int64
+	cacheSize int
 	stream    *StreamCounters
 	breaker   *resilience.Breaker
+}
+
+// counter names one of the monotonic event counts in Metrics.
+type counter int
+
+const (
+	// Registry lookups served from the LRU or not (a miss may join an
+	// in-flight build instead of starting one), and LRU evictions.
+	cacheHits counter = iota
+	cacheMisses
+	cacheDedupJoins
+	cacheEvictions
+	// The study-build lifecycle. Failed includes the builds killed by
+	// their own build timeout; canceled builds were abandoned by every
+	// waiter.
+	buildsStarted
+	buildsCompleted
+	buildsCanceled
+	buildsFailed
+	buildTimeouts
+	// Admissions refused, by reason, and responses served from a
+	// last-good stale study.
+	shedQueueFull
+	shedRateLimited
+	shedBreakerOpen
+	degradedServed
+	// Injected faults, so soak runs can assert the chaos harness fired.
+	chaosLatencies
+	chaosBuildFaults
+	chaosSlowClients
+	numCounters
+)
+
+// shedCounters maps each admission-refusal reason to its counter.
+var shedCounters = map[resilience.Reason]counter{
+	resilience.QueueFull:   shedQueueFull,
+	resilience.RateLimited: shedRateLimited,
+	resilience.BreakerOpen: shedBreakerOpen,
 }
 
 // endpointStats accumulates one endpoint's counters plus a ring of
@@ -64,69 +104,18 @@ func (m *Metrics) Observe(route string, d time.Duration, isErr bool) {
 	e.next = (e.next + 1) % latencyWindow
 }
 
-// CacheHit records a registry lookup served from the LRU.
-func (m *Metrics) CacheHit() { m.mu.Lock(); m.cache.Hits++; m.mu.Unlock() }
-
-// CacheMiss records a lookup that found no ready study; joined says it
-// piggybacked on an in-flight build instead of starting one.
-func (m *Metrics) CacheMiss(joined bool) {
+// inc adds one to each named counter, all under one lock, so a
+// Snapshot sees one event's counters move together.
+func (m *Metrics) inc(cs ...counter) {
 	m.mu.Lock()
-	m.cache.Misses++
-	if joined {
-		m.cache.DedupJoins++
+	for _, c := range cs {
+		m.counts[c]++
 	}
 	m.mu.Unlock()
 }
 
-// CacheEvicted records one LRU eviction.
-func (m *Metrics) CacheEvicted() { m.mu.Lock(); m.cache.Evictions++; m.mu.Unlock() }
-
 // CacheSize updates the cached-study gauge.
-func (m *Metrics) CacheSize(n int) { m.mu.Lock(); m.cache.Size = n; m.mu.Unlock() }
-
-// BuildStarted / BuildCompleted / BuildCanceled / BuildFailed track the
-// study-build lifecycle. InFlight = Started - (Completed+Canceled+Failed).
-func (m *Metrics) BuildStarted() { m.mu.Lock(); m.builds.Started++; m.mu.Unlock() }
-
-// BuildCompleted records a build that produced a study.
-func (m *Metrics) BuildCompleted() { m.mu.Lock(); m.builds.Completed++; m.mu.Unlock() }
-
-// BuildCanceled records a build abandoned by every waiter.
-func (m *Metrics) BuildCanceled() { m.mu.Lock(); m.builds.Canceled++; m.mu.Unlock() }
-
-// BuildFailed records a build that returned an error.
-func (m *Metrics) BuildFailed() { m.mu.Lock(); m.builds.Failed++; m.mu.Unlock() }
-
-// BuildTimedOut records a build killed by its own build timeout (a
-// subset of Failed).
-func (m *Metrics) BuildTimedOut() { m.mu.Lock(); m.res.BuildTimeouts++; m.mu.Unlock() }
-
-// Shed records one refused admission, classified by reason.
-func (m *Metrics) Shed(reason resilience.Reason) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch reason {
-	case resilience.QueueFull:
-		m.res.ShedQueueFull++
-	case resilience.RateLimited:
-		m.res.ShedRateLimited++
-	case resilience.BreakerOpen:
-		m.res.ShedBreakerOpen++
-	}
-}
-
-// Degraded records one response served from a last-good stale study.
-func (m *Metrics) Degraded() { m.mu.Lock(); m.res.DegradedServed++; m.mu.Unlock() }
-
-// ChaosLatency / ChaosBuildFault / ChaosSlowClient count injected
-// faults so soak runs can assert the chaos harness actually fired.
-func (m *Metrics) ChaosLatency() { m.mu.Lock(); m.res.ChaosLatencies++; m.mu.Unlock() }
-
-// ChaosBuildFault records one injected build failure.
-func (m *Metrics) ChaosBuildFault() { m.mu.Lock(); m.res.ChaosBuildFaults++; m.mu.Unlock() }
-
-// ChaosSlowClient records one slow-client (trickle-write) simulation.
-func (m *Metrics) ChaosSlowClient() { m.mu.Lock(); m.res.ChaosSlowClients++; m.mu.Unlock() }
+func (m *Metrics) CacheSize(n int) { m.mu.Lock(); m.cacheSize = n; m.mu.Unlock() }
 
 // SetStream publishes the stream follower's live counters; Snapshot
 // reports them under the "stream" key (absent until the first call).
@@ -228,21 +217,42 @@ type BuildCounters struct {
 func (m *Metrics) Snapshot(cacheCapacity int) Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	c := &m.counts
 	s := Snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests:      make(map[string]EndpointSnapshot, len(m.endpoints)),
-		Cache:         m.cache,
-		Builds:        m.builds,
-		Resilience:    m.res,
+		Cache: CacheCounters{
+			Hits:       c[cacheHits],
+			Misses:     c[cacheMisses],
+			DedupJoins: c[cacheDedupJoins],
+			Evictions:  c[cacheEvictions],
+			Size:       m.cacheSize,
+			Capacity:   cacheCapacity,
+		},
+		Builds: BuildCounters{
+			Started:   c[buildsStarted],
+			Completed: c[buildsCompleted],
+			Canceled:  c[buildsCanceled],
+			Failed:    c[buildsFailed],
+			InFlight:  c[buildsStarted] - c[buildsCompleted] - c[buildsCanceled] - c[buildsFailed],
+		},
+		Resilience: ResilienceCounters{
+			ShedQueueFull:    c[shedQueueFull],
+			ShedRateLimited:  c[shedRateLimited],
+			ShedBreakerOpen:  c[shedBreakerOpen],
+			DegradedServed:   c[degradedServed],
+			BreakerState:     m.breaker.State().String(),
+			BreakerOpens:     m.breaker.Opens(),
+			BuildTimeouts:    c[buildTimeouts],
+			ChaosLatencies:   c[chaosLatencies],
+			ChaosBuildFaults: c[chaosBuildFaults],
+			ChaosSlowClients: c[chaosSlowClients],
+		},
 	}
 	if m.stream != nil {
-		c := *m.stream
-		s.Stream = &c
+		sc := *m.stream
+		s.Stream = &sc
 	}
-	s.Cache.Capacity = cacheCapacity
-	s.Resilience.BreakerState = m.breaker.State().String()
-	s.Resilience.BreakerOpens = m.breaker.Opens()
-	s.Builds.InFlight = m.builds.Started - m.builds.Completed - m.builds.Canceled - m.builds.Failed
 	// Endpoint rows are assembled in sorted path order so the snapshot
 	// (and therefore /metricz) is byte-identical across repeated calls.
 	paths := make([]string, 0, len(m.endpoints))

@@ -260,7 +260,7 @@ func (r *registry) Study(ctx context.Context, cfg StudyConfig) (*rainshine.Study
 	r.mu.Lock()
 	if st, ok := r.cache.get(key); ok {
 		r.mu.Unlock()
-		r.metrics.CacheHit()
+		r.metrics.inc(cacheHits)
 		return st, nil, nil
 	}
 	bc, joined := r.inflight[key]
@@ -291,7 +291,11 @@ func (r *registry) Study(ctx context.Context, cfg StudyConfig) (*rainshine.Study
 		go r.run(bctx, key, cfg, bc)
 	}
 	r.mu.Unlock()
-	r.metrics.CacheMiss(joined)
+	if joined {
+		r.metrics.inc(cacheMisses, cacheDedupJoins)
+	} else {
+		r.metrics.inc(cacheMisses)
+	}
 
 	select {
 	case <-bc.done:
@@ -337,7 +341,7 @@ func (r *registry) degrade(key string, buildErr error) (*rainshine.Study, *Degra
 // deterministically.
 func (r *registry) run(ctx context.Context, key string, cfg StudyConfig, bc *buildCall) {
 	defer bc.cancel()
-	r.metrics.BuildStarted()
+	r.metrics.inc(buildsStarted)
 	study, err := func() (st *rainshine.Study, err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -358,19 +362,18 @@ func (r *registry) run(ctx context.Context, key string, cfg StudyConfig, bc *bui
 	switch {
 	case err == nil:
 		r.breaker.RecordSuccess()
-		r.metrics.BuildCompleted()
+		r.metrics.inc(buildsCompleted)
 	case errors.Is(context.Cause(ctx), context.Canceled):
 		// Abandoned by every waiter: not judged, not a service failure.
 		r.breaker.RecordCanceled()
-		r.metrics.BuildCanceled()
+		r.metrics.inc(buildsCanceled)
 	case errors.Is(err, context.DeadlineExceeded):
 		// The detached build's own timeout: a failure mode.
 		r.breaker.RecordFailure()
-		r.metrics.BuildTimedOut()
-		r.metrics.BuildFailed()
+		r.metrics.inc(buildTimeouts, buildsFailed)
 	default:
 		r.breaker.RecordFailure()
-		r.metrics.BuildFailed()
+		r.metrics.inc(buildsFailed)
 	}
 	close(bc.done)
 }
@@ -379,7 +382,7 @@ func (r *registry) run(ctx context.Context, key string, cfg StudyConfig, bc *bui
 // the last-good fallback. Caller holds r.mu.
 func (r *registry) insert(key string, st *rainshine.Study) {
 	for i := r.cache.put(key, st); i > 0; i-- {
-		r.metrics.CacheEvicted()
+		r.metrics.inc(cacheEvictions)
 	}
 	r.stale.put(key, st)
 	r.metrics.CacheSize(r.cache.len())

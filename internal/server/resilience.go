@@ -121,7 +121,9 @@ func (s *Server) admit(next http.Handler) http.Handler {
 // caller's cue to back off (429), an open breaker is the service's own
 // fault (503). Both carry Retry-After, in the header and the body.
 func (s *Server) writeShed(w http.ResponseWriter, e *resilience.ShedError) {
-	s.metrics.Shed(e.Reason)
+	if c, ok := shedCounters[e.Reason]; ok {
+		s.metrics.inc(c)
+	}
 	secs := int(e.RetryAfter / time.Second)
 	if secs < 1 {
 		secs = 1

@@ -333,7 +333,7 @@ func (s *Server) evaluate(w http.ResponseWriter, deg *Degradation, rep any, err 
 		return
 	}
 	if deg != nil {
-		s.metrics.Degraded()
+		s.metrics.inc(degradedServed)
 		w.Header().Set("X-Rainshine-Degraded", deg.Reason)
 		s.writeJSON(w, http.StatusOK, degradedReport{
 			Degraded: true, Reason: deg.Reason, Detail: deg.Detail, Data: rep,

@@ -1,72 +1,25 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
-// ECDF is an empirical cumulative distribution function over a sample.
-// The zero value is not usable; construct with NewECDF.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs. The input is copied.
-func NewECDF(xs []float64) (*ECDF, error) {
+// ECDF returns the empirical cumulative distribution function of xs as
+// a step function ready to plot: one point (x[i], p[i] = P(X <= x[i]))
+// per distinct sample value, in ascending order. xs is not modified.
+func ECDF(xs []float64) (x, p []float64, err error) {
 	if len(xs) == 0 {
-		return nil, ErrEmpty
+		return nil, nil, ErrEmpty
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
-}
-
-// At returns P(X <= x) under the empirical distribution.
-func (e *ECDF) At(x float64) float64 {
-	// Number of sample points <= x.
-	n := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest sample value v with P(X <= v) >= p.
-// This is the inverse-CDF convention used for provisioning: the returned
-// requirement is always one of the observed values, so "provision for the
-// p-th percentile" is achievable.
-func (e *ECDF) Quantile(p float64) float64 {
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	k := int(math.Ceil(p * float64(len(e.sorted))))
-	if k < 1 {
-		k = 1
-	}
-	return e.sorted[k-1]
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Min returns the smallest sample value.
-func (e *ECDF) Min() float64 { return e.sorted[0] }
-
-// Max returns the largest sample value.
-func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }
-
-// Points returns (x, F(x)) pairs suitable for plotting the CDF as a step
-// function, one point per distinct sample value.
-func (e *ECDF) Points() (xs, ps []float64) {
-	n := len(e.sorted)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	n := len(sorted)
 	for i := 0; i < n; {
 		j := i
-		for j+1 < n && e.sorted[j+1] == e.sorted[i] {
+		for j+1 < n && sorted[j+1] == sorted[i] {
 			j++
 		}
-		xs = append(xs, e.sorted[i])
-		ps = append(ps, float64(j+1)/float64(n))
+		x = append(x, sorted[i])
+		p = append(p, float64(j+1)/float64(n))
 		i = j + 1
 	}
-	return xs, ps
+	return x, p, nil
 }

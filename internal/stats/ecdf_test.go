@@ -1,80 +1,36 @@
 package stats
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestECDFBasics(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 4})
+	x, p, err := ECDF([]float64{1, 2, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tests := []struct {
-		x, want float64
-	}{
-		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3.9, 0.75}, {4, 1}, {100, 1},
+	// P(X <= x) steps to 0.25 at 1, 0.75 at 2 (a tie) and 1 at 4.
+	wantX := []float64{1, 2, 4}
+	wantP := []float64{0.25, 0.75, 1}
+	if len(x) != len(wantX) || len(p) != len(wantP) {
+		t.Fatalf("ECDF = %v, %v", x, p)
 	}
-	for _, tt := range tests {
-		if got := e.At(tt.x); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
+	for i := range wantX {
+		if x[i] != wantX[i] || !almostEqual(p[i], wantP[i], 1e-12) {
+			t.Errorf("point %d = (%v,%v), want (%v,%v)", i, x[i], p[i], wantX[i], wantP[i])
 		}
-	}
-	if e.N() != 4 || e.Min() != 1 || e.Max() != 4 {
-		t.Errorf("N/Min/Max = %d/%v/%v", e.N(), e.Min(), e.Max())
 	}
 }
 
 func TestECDFEmpty(t *testing.T) {
-	if _, err := NewECDF(nil); err != ErrEmpty {
-		t.Errorf("NewECDF(nil) err = %v", err)
-	}
-}
-
-func TestECDFQuantile(t *testing.T) {
-	e, _ := NewECDF([]float64{1, 2, 3, 4, 5})
-	tests := []struct {
-		p, want float64
-	}{
-		{0, 1}, {0.2, 1}, {0.21, 2}, {0.5, 3}, {0.95, 5}, {1, 5},
-	}
-	for _, tt := range tests {
-		if got := e.Quantile(tt.p); got != tt.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
-// The provisioning logic depends on Quantile being a right-inverse of At:
-// At(Quantile(p)) >= p for all p in (0,1].
-func TestECDFQuantileInverseProperty(t *testing.T) {
-	f := func(raw []float64, pRaw float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			xs = append(xs, v)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		p := math.Abs(math.Mod(pRaw, 1))
-		e, err := NewECDF(xs)
-		if err != nil {
-			return false
-		}
-		return e.At(e.Quantile(p)) >= p-1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	if _, _, err := ECDF(nil); err != ErrEmpty {
+		t.Errorf("ECDF(nil) err = %v", err)
 	}
 }
 
 func TestECDFPoints(t *testing.T) {
-	e, _ := NewECDF([]float64{3, 1, 3, 2})
-	xs, ps := e.Points()
+	xs, ps, err := ECDF([]float64{3, 1, 3, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantX := []float64{1, 2, 3}
 	wantP := []float64{0.25, 0.5, 1}
 	if len(xs) != 3 {
@@ -89,9 +45,15 @@ func TestECDFPoints(t *testing.T) {
 
 func TestECDFDoesNotAliasInput(t *testing.T) {
 	in := []float64{3, 1, 2}
-	e, _ := NewECDF(in)
+	x, _, err := ECDF(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
+		t.Errorf("ECDF reordered its input: %v", in)
+	}
 	in[0] = 100
-	if e.Max() != 3 {
+	if x[len(x)-1] != 3 {
 		t.Error("ECDF aliased caller slice")
 	}
 }

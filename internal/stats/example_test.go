@@ -18,15 +18,3 @@ func ExampleQuantile() {
 	fmt.Printf("95th percentile: %.2f failures/day\n", p95)
 	// Output: 95th percentile: 3.65 failures/day
 }
-
-// ExampleWelchT compares failure rates of two rack groups.
-func ExampleWelchT() {
-	hotAisle := []float64{3.1, 2.8, 3.4, 3.0, 2.9, 3.3}
-	coldAisle := []float64{1.0, 1.2, 0.9, 1.1, 1.0, 1.3}
-	r, err := stats.WelchT(hotAisle, coldAisle)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("difference significant at 1%%: %v\n", r.Significant(0.01))
-	// Output: difference significant at 1%: true
-}

@@ -2,51 +2,8 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
-
-// Bin is one histogram bucket over [Lo, Hi) (the final bucket is closed).
-type Bin struct {
-	Lo, Hi float64
-	Count  int
-	// Values holds the member samples when the histogram was built with
-	// KeepValues; used for per-bin summary statistics (the paper plots a
-	// mean and sd per bin).
-	Values []float64
-}
-
-// Histogram buckets a sample into fixed edges.
-type Histogram struct {
-	Bins []Bin
-}
-
-// NewHistogram buckets xs into the len(edges)-1 buckets defined by the
-// ascending edges slice. Samples outside [edges[0], edges[last]] are
-// clamped into the first/last bucket, which matches the paper's
-// "<20" / ">70" style open-ended bins.
-func NewHistogram(xs []float64, edges []float64, keepValues bool) (*Histogram, error) {
-	if len(edges) < 2 {
-		return nil, errors.New("stats: need at least two bin edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("stats: bin edges not ascending at %d", i)
-		}
-	}
-	h := &Histogram{Bins: make([]Bin, len(edges)-1)}
-	for i := range h.Bins {
-		h.Bins[i].Lo, h.Bins[i].Hi = edges[i], edges[i+1]
-	}
-	for _, x := range xs {
-		i := bucketIndex(edges, x)
-		h.Bins[i].Count++
-		if keepValues {
-			h.Bins[i].Values = append(h.Bins[i].Values, x)
-		}
-	}
-	return h, nil
-}
 
 // bucketIndex returns the bucket for x, clamping out-of-range values.
 func bucketIndex(edges []float64, x float64) int {

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used throughout the
-// reproduction: moments, quantiles, empirical CDFs, histograms, rank and
-// product-moment correlation, and bootstrap confidence intervals.
+// reproduction: moments, quantiles, empirical CDFs, binned summaries,
+// ranks, and the paired tests behind Q2.
 //
 // The paper's figures report means, standard deviations, percentiles of
 // failure metrics, and CDFs of over-provisioning fractions; everything
@@ -29,15 +29,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Variance returns the unbiased (n-1) sample variance of xs.
 // It returns 0 when len(xs) < 2.
 func Variance(xs []float64) float64 {
@@ -56,49 +47,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// PopVariance returns the population (n) variance of xs.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
 
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between order statistics (R type-7, the default of R's
@@ -137,9 +85,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
 // Summary bundles the descriptive statistics reported throughout the
 // paper's figures (mean with an sd error bar, plus range/percentiles).
 type Summary struct {
@@ -172,37 +117,6 @@ func Summarize(xs []float64) (Summary, error) {
 	}, nil
 }
 
-// Pearson returns the Pearson product-moment correlation of xs and ys.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance input")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation of xs and ys, using
-// mid-ranks for ties.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
 // Ranks returns the 1-based mid-ranks of xs (ties share the average of
 // the ranks they span).
 func Ranks(xs []float64) []float64 {
@@ -226,31 +140,4 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// Normalize returns xs scaled so its maximum is 1. The paper normalizes
-// every presented metric to its maximum value; this helper does the same.
-// An all-zero input is returned unchanged.
-func Normalize(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	m, err := Max(out)
-	if err != nil || m == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] /= m
-	}
-	return out
-}
-
-// NormalizeTo returns xs divided by ref. A zero ref returns a copy of xs.
-func NormalizeTo(xs []float64, ref float64) []float64 {
-	out := append([]float64(nil), xs...)
-	if ref == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] /= ref
-	}
-	return out
 }

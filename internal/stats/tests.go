@@ -19,28 +19,6 @@ type TestResult struct {
 // alpha (e.g. 0.05).
 func (r TestResult) Significant(alpha float64) bool { return r.P < alpha }
 
-// WelchT performs Welch's unequal-variance two-sample t-test for a
-// difference in means between xs and ys.
-func WelchT(xs, ys []float64) (TestResult, error) {
-	if len(xs) < 2 || len(ys) < 2 {
-		return TestResult{}, errors.New("stats: WelchT needs >= 2 samples per group")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	vx, vy := Variance(xs), Variance(ys)
-	nx, ny := float64(len(xs)), float64(len(ys))
-	se2 := vx/nx + vy/ny
-	if se2 == 0 {
-		if mx == my {
-			return TestResult{Statistic: 0, DF: nx + ny - 2, P: 1}, nil
-		}
-		return TestResult{Statistic: math.Inf(sign(mx - my)), DF: nx + ny - 2, P: 0}, nil
-	}
-	t := (mx - my) / math.Sqrt(se2)
-	// Welch-Satterthwaite degrees of freedom.
-	df := se2 * se2 / ((vx*vx)/(nx*nx*(nx-1)) + (vy*vy)/(ny*ny*(ny-1)))
-	return TestResult{Statistic: t, DF: df, P: twoSidedTP(t, df)}, nil
-}
-
 // PairedT performs a paired t-test on equal-length samples (testing that
 // the mean of xs[i]-ys[i] is zero). This is the per-stratum "is the
 // adjusted SKU effect significant?" check of the Q2 analysis.

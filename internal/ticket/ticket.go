@@ -156,18 +156,6 @@ func TruePositives(ts []Ticket) []Ticket {
 	return out
 }
 
-// HardwareOnly filters to true-positive hardware tickets, the subject of
-// every analysis in the paper.
-func HardwareOnly(ts []Ticket) []Ticket {
-	out := make([]Ticket, 0, len(ts))
-	for _, t := range ts {
-		if !t.FalsePositive && t.Category() == Hardware {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Mix tabulates the percentage of tickets per fault type for one DC,
 // reproducing one column of Table II. False positives are excluded.
 func Mix(ts []Ticket, dc int) map[Fault]float64 {

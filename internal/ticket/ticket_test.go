@@ -75,18 +75,6 @@ func TestTruePositives(t *testing.T) {
 	}
 }
 
-func TestHardwareOnly(t *testing.T) {
-	got := HardwareOnly(sampleTickets())
-	if len(got) != 2 {
-		t.Fatalf("HardwareOnly len = %d, want 2", len(got))
-	}
-	for _, tk := range got {
-		if tk.Category() != Hardware {
-			t.Fatal("non-hardware survived filter")
-		}
-	}
-}
-
 func TestMix(t *testing.T) {
 	mix := Mix(sampleTickets(), 0)
 	// DC0 true positives: disk, timeout, pxe, other = 4 tickets.

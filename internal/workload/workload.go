@@ -89,17 +89,6 @@ func (m *Model) Utilization(wl topology.Workload, day int) (float64, error) {
 	return series[day], nil
 }
 
-// StressMultiplier converts utilization into a hazard multiplier:
-// linear in load around a neutral point of 0.5 — a 100%-utilized server
-// is 1+StressSlope/2 times as failure-prone as a half-idle one. The
-// paper's Fig 3 weekday elevation emerges from this mechanism.
-const StressSlope = 1.0
-
-// StressMultiplier returns the failure-rate multiplier for a utilization.
-func StressMultiplier(utilization float64) float64 {
-	return 1 + StressSlope*(clamp01(utilization)-0.5)
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0

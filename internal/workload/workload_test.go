@@ -89,25 +89,6 @@ func TestHPCRunsFlat(t *testing.T) {
 	}
 }
 
-func TestStressMultiplier(t *testing.T) {
-	if StressMultiplier(0.5) != 1 {
-		t.Errorf("neutral point = %v", StressMultiplier(0.5))
-	}
-	if StressMultiplier(1.0) <= StressMultiplier(0.5) {
-		t.Error("full load should stress more than half load")
-	}
-	if StressMultiplier(0.0) >= 1 {
-		t.Error("idle should stress less than neutral")
-	}
-	// Clamping.
-	if StressMultiplier(5) != StressMultiplier(1) {
-		t.Error("over-unity utilization should clamp")
-	}
-	if StressMultiplier(-3) != StressMultiplier(0) {
-		t.Error("negative utilization should clamp")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a := buildModel(t, 100)
 	b := buildModel(t, 100)
