@@ -2,6 +2,9 @@ package rainshine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -142,6 +145,45 @@ func TestDirtyExportAnalyzesGracefully(t *testing.T) {
 	if strings.Contains(cleanBuf.String(), "NaN") {
 		t.Error("clean export carries NaN cells")
 	}
+}
+
+// TestDirtyExportGolden pins the external-analysis path that writes
+// missing cells byte for byte: ReadFrameCSV parses the dirty rack-day
+// CSV's NaN cells, SanitizeFrame marks them missing, and the
+// environment fit routes them. It compares digests of the CSV, of the
+// JSON report AnalyzeClimateCSV derives from it, and of the fitted
+// tree; TestDirtyExportAnalyzesGracefully checks the same path only
+// with tolerances. The digests move only with a deliberate change to
+// the study, the export or the fit.
+func TestDirtyExportGolden(t *testing.T) {
+	_, dirty := dirtyPair(t)
+	var buf bytes.Buffer
+	if err := dirty.ExportRackDaysCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	csvSum := digest(buf.Bytes()) // AnalyzeClimateCSV drains buf
+	rep, err := AnalyzeClimateCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"rack-day CSV", csvSum, "41b088e164f37095ebb0c2c79cd0e4e2e4b323cd2b3a49176e4dadd522c5e4a8"},
+		{"report JSON", digest(js), "a82b5c3f01d6f0186ea212ba3661b26866c83fa2373c3ea3dd09b8a7124f6739"},
+		{"tree", digest([]byte(rep.Tree.String())), "2d07207f3d619e7b5e627d5f16c60e752b8cda6d6948009a0623be31ec9c9ab6"},
+	} {
+		if c.got != c.want {
+			t.Errorf("dirty-export %s digest = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+func digest(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
 }
 
 // TestGoldenDirtyAnalyses is the headline robustness check: a study
