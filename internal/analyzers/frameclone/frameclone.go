@@ -10,14 +10,13 @@
 // Select or frame.New cleanses it, a plain alias (work := f) inherits
 // it, and a mutating Add* call on a still-tainted variable is reported.
 // The deep taint covers cell storage: ShallowClone and Select copy the
-// directory but share the column Data slices and null bitmaps, so only
-// Subset/Filter/New — which copy cells — cleanse it. Columns derived
-// from a deep-tainted frame (Col/MustCol/ColAt) and chunks derived from
-// such columns (Chunk/Chunks) alias caller-visible storage; calling
-// MarkNull/SetMissing on them is reported unless the column was first
-// re-pointed at a Clone. Codes() on such a column hands out the backing
-// byte-code array itself, so element stores through the returned slice
-// are reported the same way. Unexported functions are builders operating on
+// directory but share the columns' cells, so only Subset/Filter/New —
+// which copy cells — cleanse it. Columns derived from a deep-tainted
+// frame (Col/MustCol/ColAt) alias caller-visible storage; calling
+// SetMissing on them is reported unless the column was first re-pointed
+// at a Clone. Codes() on such a column hands out the backing byte-code
+// array itself, so element stores through the returned slice are
+// reported the same way. Unexported functions are builders operating on
 // locally owned frames and are exempt; the package defining Frame is
 // the implementation and is skipped entirely.
 package frameclone
@@ -48,12 +47,9 @@ var mutators = map[string]bool{
 	"AddColumn":       true,
 }
 
-// cellMutators are the null-bitmap writers on columns and chunks (deep
-// taint): they reach through shared Data/bitmap storage.
-var cellMutators = map[string]bool{
-	"MarkNull":   true,
-	"SetMissing": true,
-}
+// cellMutator is the column method that writes a missing cell (deep
+// taint): it reaches through shared cell storage.
+const cellMutator = "SetMissing"
 
 // cleansers are the frame methods returning a frame the caller owns
 // at the directory level. Only the subset that copies cell storage
@@ -76,12 +72,6 @@ var colDerivers = map[string]bool{
 	"Col":     true,
 	"MustCol": true,
 	"ColAt":   true,
-}
-
-// chunkDerivers hand out Chunk views into a column's storage.
-var chunkDerivers = map[string]bool{
-	"Chunk":  true,
-	"Chunks": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -127,18 +117,9 @@ func isFramePtr(t types.Type) bool {
 	return isNamedPtrWithMethod(t, "Frame", "ShallowClone")
 }
 
-// isColumnPtr matches *frame.Column by its MarkNull method.
+// isColumnPtr matches *frame.Column by its SetMissing method.
 func isColumnPtr(t types.Type) bool {
-	return isNamedPtrWithMethod(t, "Column", "MarkNull")
-}
-
-// isChunk matches the value type frame.Chunk by its MarkNull method.
-func isChunk(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Chunk" {
-		return false
-	}
-	return hasMethod(named, "MarkNull")
+	return isNamedPtrWithMethod(t, "Column", cellMutator)
 }
 
 func isNamedPtrWithMethod(t types.Type, name, method string) bool {
@@ -167,7 +148,6 @@ type state struct {
 	attach map[*types.Var]bool // frame vars whose column directory is shared
 	deep   map[*types.Var]bool // frame vars whose cell storage is shared
 	col    map[*types.Var]bool // column vars viewing shared cell storage
-	chunk  map[*types.Var]bool // chunk vars viewing shared cell storage
 	codes  map[*types.Var]bool // byte slices from Codes() of shared columns
 }
 
@@ -183,7 +163,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		attach: map[*types.Var]bool{},
 		deep:   map[*types.Var]bool{},
 		col:    map[*types.Var]bool{},
-		chunk:  map[*types.Var]bool{},
 		codes:  map[*types.Var]bool{},
 	}
 	sig, ok := pass.TypesInfo.Defs[fd.Name].Type().(*types.Signature)
@@ -206,10 +185,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case *ast.AssignStmt:
 			events = append(events, assignEvents(pass, n)...)
 			events = append(events, codesStoreEvents(pass, n)...)
-		case *ast.RangeStmt:
-			if ev, ok := rangeEvent(pass, n); ok {
-				events = append(events, ev)
-			}
 		case *ast.CallExpr:
 			if ev, ok := mutationEvent(pass, n); ok {
 				events = append(events, ev)
@@ -281,8 +256,6 @@ func classifyAssign(pass *analysis.Pass, pos token.Pos, obj *types.Var, rhs ast.
 		return frameAssign(pass, pos, obj, rhs), true
 	case isColumnPtr(obj.Type()):
 		return columnAssign(pass, pos, obj, rhs), true
-	case isChunk(obj.Type()):
-		return chunkAssign(pass, pos, obj, rhs), true
 	case isByteSlice(obj.Type()):
 		return codesAssign(pass, pos, obj, rhs), true
 	}
@@ -383,41 +356,6 @@ func columnAssign(pass *analysis.Pass, pos token.Pos, obj *types.Var, rhs ast.Ex
 	return event{pos, func(st *state, _ func(token.Pos, string)) { delete(st.col, obj) }}
 }
 
-func chunkAssign(pass *analysis.Pass, pos token.Pos, obj *types.Var, rhs ast.Expr) event {
-	if name, recv, ok := methodCall(pass, rhs, isColumnPtr); ok && chunkDerivers[name] {
-		return event{pos, func(st *state, _ func(token.Pos, string)) {
-			setTaint(st.chunk, obj, recv != nil && st.col[recv])
-		}}
-	}
-	if src := aliasSource(pass, rhs); src != nil {
-		return event{pos, func(st *state, _ func(token.Pos, string)) { setTaint(st.chunk, obj, st.chunk[src]) }}
-	}
-	return event{pos, func(st *state, _ func(token.Pos, string)) { delete(st.chunk, obj) }}
-}
-
-// rangeEvent handles `for _, ch := range c.Chunks(n)`: each chunk
-// inherits the column's view taint.
-func rangeEvent(pass *analysis.Pass, rng *ast.RangeStmt) (event, bool) {
-	if rng.Value == nil {
-		return event{}, false
-	}
-	val, ok := ast.Unparen(rng.Value).(*ast.Ident)
-	if !ok {
-		return event{}, false
-	}
-	obj, ok := pass.TypesInfo.ObjectOf(val).(*types.Var)
-	if !ok || !isChunk(obj.Type()) {
-		return event{}, false
-	}
-	name, recv, ok := methodCall(pass, ast.Unparen(rng.X), isColumnPtr)
-	if !ok || !chunkDerivers[name] {
-		return event{}, false
-	}
-	return event{rng.Pos(), func(st *state, _ func(token.Pos, string)) {
-		setTaint(st.chunk, obj, recv != nil && st.col[recv])
-	}}, true
-}
-
 // methodCall matches recv.Name(...) where the receiver type satisfies
 // wantRecv, returning the method name and (when the receiver is a bare
 // identifier) the receiver variable.
@@ -463,63 +401,27 @@ func aliasSource(pass *analysis.Pass, e ast.Expr) *types.Var {
 
 // mutationEvent matches x.AddContinuous(...) etc. with x a tracked var.
 func mutationEvent(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !mutators[sel.Sel.Name] {
-		return event{}, false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return event{}, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isFramePtr(sig.Recv().Type()) {
-		return event{}, false
-	}
-	recv, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return event{}, false
-	}
-	obj, ok := pass.TypesInfo.ObjectOf(recv).(*types.Var)
-	if !ok {
+	name, recv, ok := methodCall(pass, call, isFramePtr)
+	if !ok || !mutators[name] || recv == nil {
 		return event{}, false
 	}
 	return event{call.Pos(), func(st *state, report func(token.Pos, string)) {
-		if st.attach[obj] {
-			report(call.Pos(), "attaching a column to "+recv.Name+", which aliases a parameter frame shared with the caller; ShallowClone it first")
+		if st.attach[recv] {
+			report(call.Pos(), "attaching a column to "+recv.Name()+", which aliases a parameter frame shared with the caller; ShallowClone it first")
 		}
 	}}, true
 }
 
-// cellMutationEvent matches c.MarkNull(i)/c.SetMissing(i) with c a
-// tracked column or chunk viewing shared storage.
+// cellMutationEvent matches c.SetMissing(i) with c a tracked column
+// viewing shared storage.
 func cellMutationEvent(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !cellMutators[sel.Sel.Name] {
-		return event{}, false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return event{}, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return event{}, false
-	}
-	isCol := isColumnPtr(sig.Recv().Type())
-	if !isCol && !isChunk(sig.Recv().Type()) {
-		return event{}, false
-	}
-	recv, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return event{}, false
-	}
-	obj, ok := pass.TypesInfo.ObjectOf(recv).(*types.Var)
-	if !ok {
+	name, recv, ok := methodCall(pass, call, isColumnPtr)
+	if !ok || name != cellMutator || recv == nil {
 		return event{}, false
 	}
 	return event{call.Pos(), func(st *state, report func(token.Pos, string)) {
-		if (isCol && st.col[obj]) || (!isCol && st.chunk[obj]) {
-			report(call.Pos(), "marking nulls on "+recv.Name+", which views cell storage shared with the caller; Subset/Filter the frame or Clone the column first")
+		if st.col[recv] {
+			report(call.Pos(), "marking nulls on "+recv.Name()+", which views cell storage shared with the caller; Subset/Filter the frame or Clone the column first")
 		}
 	}}, true
 }

@@ -41,7 +41,7 @@ func build(f *frame.Frame) {
 // MarkCol marks nulls through a column view of the parameter frame.
 func MarkCol(f *frame.Frame) {
 	c, _ := f.Col("x")
-	c.MarkNull(0) // want `marking nulls on c, which views cell storage shared with the caller`
+	c.SetMissing(0) // want `marking nulls on c, which views cell storage shared with the caller`
 }
 
 // SetCol writes a missing cell through MustCol on the parameter frame.
@@ -53,7 +53,7 @@ func SetCol(f *frame.Frame) {
 // MarkColAt marks nulls through a positional column view.
 func MarkColAt(f *frame.Frame) {
 	c := f.ColAt(0)
-	c.MarkNull(0) // want `marking nulls on c, which views cell storage shared with the caller`
+	c.SetMissing(0) // want `marking nulls on c, which views cell storage shared with the caller`
 }
 
 // ShallowStillShared: ShallowClone copies the directory, not the cells,
@@ -61,21 +61,21 @@ func MarkColAt(f *frame.Frame) {
 func ShallowStillShared(f *frame.Frame) {
 	g := f.ShallowClone()
 	c := g.MustCol("x")
-	c.MarkNull(0) // want `marking nulls on c, which views cell storage shared with the caller`
+	c.SetMissing(0) // want `marking nulls on c, which views cell storage shared with the caller`
 }
 
 // SelectStillShared: Select shares column storage too.
 func SelectStillShared(f *frame.Frame) {
 	g, _ := f.Select("x")
 	c := g.MustCol("x")
-	c.MarkNull(0) // want `marking nulls on c, which views cell storage shared with the caller`
+	c.SetMissing(0) // want `marking nulls on c, which views cell storage shared with the caller`
 }
 
 // SubsetOwnsCells: Subset copies cells, so its views are safe (negative).
 func SubsetOwnsCells(f *frame.Frame) {
 	g := f.Subset(nil)
 	c := g.MustCol("x")
-	c.MarkNull(0)
+	c.SetMissing(0)
 }
 
 // FilterOwnsCells: Filter copies cells too (negative).
@@ -89,30 +89,7 @@ func FilterOwnsCells(f *frame.Frame) {
 func ClonedColumn(f *frame.Frame) {
 	c := f.MustCol("x")
 	c = c.Clone()
-	c.MarkNull(0)
-}
-
-// MarkChunk marks nulls through a chunk window of a shared column.
-func MarkChunk(f *frame.Frame) {
-	c := f.MustCol("x")
-	ch := c.Chunk(0, 1)
-	ch.MarkNull(0) // want `marking nulls on ch, which views cell storage shared with the caller`
-}
-
-// MarkChunks marks nulls while ranging over the chunk list.
-func MarkChunks(f *frame.Frame) {
-	c := f.MustCol("x")
-	for _, ch := range c.Chunks(4) {
-		ch.MarkNull(0) // want `marking nulls on ch, which views cell storage shared with the caller`
-	}
-}
-
-// ChunkOfOwnedColumn windows a cloned column (negative).
-func ChunkOfOwnedColumn(f *frame.Frame) {
-	c := f.MustCol("x").Clone()
-	for _, ch := range c.Chunks(4) {
-		ch.MarkNull(0)
-	}
+	c.SetMissing(0)
 }
 
 // MutateCodes attaches a byte-coded column onto the shared parameter.

@@ -3,43 +3,24 @@
 // package defining Frame, so nothing here is flagged.
 package frame
 
-// Column is one typed dense column with a null bitmap.
+import "math"
+
+// Column is one typed dense column.
 type Column struct {
 	Name  string
 	Data  []float64
 	codes []uint8
-	nulls []bool
 }
 
 // Codes exposes the byte-coded backing array (shared storage).
 func (c *Column) Codes() []uint8 { return c.codes }
 
-// MarkNull records a null without disturbing the raw value.
-func (c *Column) MarkNull(i int) { c.nulls[i] = true }
+// SetMissing overwrites the cell with the NaN missing sentinel.
+func (c *Column) SetMissing(i int) { c.Data[i] = math.NaN() }
 
-// SetMissing records a null and overwrites the cell with NaN.
-func (c *Column) SetMissing(i int) { c.MarkNull(i) }
-
-// Clone deep-copies the column, cells and bitmap included.
+// Clone deep-copies the column's cells.
 func (c *Column) Clone() *Column {
-	return &Column{Name: c.Name, Data: append([]float64(nil), c.Data...), nulls: append([]bool(nil), c.nulls...)}
-}
-
-// Chunk is a half-open row window into a column's storage.
-type Chunk struct {
-	Lo, Hi int
-	col    *Column
-}
-
-// MarkNull records a null at chunk-relative index i.
-func (ch Chunk) MarkNull(i int) { ch.col.MarkNull(ch.Lo + i) }
-
-// Chunk returns the [lo,hi) window over the column's storage.
-func (c *Column) Chunk(lo, hi int) Chunk { return Chunk{Lo: lo, Hi: hi, col: c} }
-
-// Chunks splits the column into fixed-size windows.
-func (c *Column) Chunks(rows int) []Chunk {
-	return []Chunk{c.Chunk(0, len(c.Data))}
+	return &Column{Name: c.Name, Data: append([]float64(nil), c.Data...)}
 }
 
 // Frame is a column-oriented table.

@@ -184,48 +184,36 @@ func (b *binned) codeFeatures(cols []*frame.Column) error {
 		fi, ci := ti/len(bounds), ti%len(bounds)
 		c := cols[fi]
 		ft := &b.feats[fi]
-		codes := b.codes[fi]
+		lo, hi := bounds[ci][0], bounds[ci][1]
+		dst := b.codes[fi][lo:hi]
 		if ft.nb == 0 { // all-missing continuous feature
-			for r := bounds[ci][0]; r < bounds[ci][1]; r++ {
-				codes[r] = missingCode
+			for i := range dst {
+				dst[i] = missingCode
 			}
 			return nil
 		}
-		ch := c.Chunk(bounds[ci][0], bounds[ci][1])
-		nulls := c.Nulls()
 		if c.Kind != frame.Continuous {
 			nb := ft.nb
-			if cc := ch.Codes; cc != nil {
+			if cc := c.Codes(); cc != nil {
 				// Typed columns already hold byte codes: a straight copy,
-				// rewriting null-marked and out-of-range cells to the
-				// missing sentinel — no float64 round-trip.
-				if !nulls.Any() {
-					for i, cd := range cc {
-						if int(cd) >= nb {
-							cd = missingCode
-						}
-						codes[ch.Lo+i] = cd
-					}
-					return nil
-				}
-				for i, cd := range cc {
-					r := ch.Lo + i
-					if int(cd) >= nb || nulls.Get(r) {
+				// rewriting out-of-range cells to the missing sentinel —
+				// no float64 round-trip.
+				for i, cd := range cc[lo:hi] {
+					if int(cd) >= nb {
 						cd = missingCode
 					}
-					codes[r] = cd
+					dst[i] = cd
 				}
 				return nil
 			}
-			for i, v := range ch.Data {
-				r := ch.Lo + i
+			for i, v := range c.Data[lo:hi] {
 				code := uint8(missingCode)
-				if !nulls.Get(r) && isFinite(v) {
+				if isFinite(v) {
 					if l := int(v); l >= 0 && l < nb && float64(l) == v {
 						code = uint8(l)
 					}
 				}
-				codes[r] = code
+				dst[i] = code
 			}
 			return nil
 		}
@@ -235,10 +223,9 @@ func (b *binned) codeFeatures(cols []*frame.Column) error {
 			gmin[i] = math.Inf(1)
 			gmax[i] = math.Inf(-1)
 		}
-		for i, v := range ch.Data {
-			r := ch.Lo + i
-			if nulls.Get(r) || !isFinite(v) {
-				codes[r] = missingCode
+		for i, v := range c.Data[lo:hi] {
+			if !isFinite(v) {
+				dst[i] = missingCode
 				continue
 			}
 			g := int((v - ft.lo) * ft.invCell)
@@ -248,7 +235,7 @@ func (b *binned) codeFeatures(cols []*frame.Column) error {
 				g = binGrid - 1
 			}
 			cd := ft.lut[g]
-			codes[r] = cd
+			dst[i] = cd
 			if v < gmin[cd] {
 				gmin[cd] = v
 			}

@@ -214,67 +214,6 @@ func TestBinnedCVDevianceClose(t *testing.T) {
 	}
 }
 
-// TestBinnedNullBitmapRouting asserts the binned and exact engines both
-// honor ingest null marks: a column whose suspect cells are null-marked
-// (raw finite values retained for forensics) must train the same tree
-// as one whose cells carry the NaN sentinel.
-func TestBinnedNullBitmapRouting(t *testing.T) {
-	n := 4000
-	build := func(markOnly bool) *frame.Frame {
-		bs := rng.New(17).Split("rows")
-		x := make([]float64, n)
-		cat := make([]int, n)
-		y := make([]float64, n)
-		var nullRows []int
-		for i := range y {
-			x[i] = bs.Float64() * 50
-			cat[i] = bs.IntN(4)
-			y[i] = x[i]*0.2 + float64(cat[i])
-			if bs.Float64() < 0.1 {
-				nullRows = append(nullRows, i)
-			}
-		}
-		f := frame.New(n)
-		if err := f.AddContinuous("x", x); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.AddNominalInts("cat", cat, []string{"a", "b", "c", "d"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.AddContinuous("y", y); err != nil {
-			t.Fatal(err)
-		}
-		c := f.MustCol("x")
-		for _, r := range nullRows {
-			if markOnly {
-				c.MarkNull(r) // finite value stays behind the mark
-			} else {
-				c.SetMissing(r)
-			}
-		}
-		return f
-	}
-	marked, sentinel := build(true), build(false)
-	for _, split := range []SplitMethod{SplitExact, SplitBinned} {
-		cfg := Config{Task: Regression, Split: split, MaxDepth: 5, CP: 0.001}
-		mt, err := Fit(marked, "y", []string{"x", "cat"}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := Fit(sentinel, "y", []string{"x", "cat"}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mt.String() != st.String() {
-			t.Errorf("split=%d: null-marked column trained a different tree than NaN column", split)
-		}
-	}
-	// materializeMissing must never mutate the caller's column.
-	if got := marked.MustCol("x").Data[0]; math.IsNaN(got) {
-		t.Error("Fit overwrote a null-marked cell with NaN")
-	}
-}
-
 // TestBinnedManyLevelFallback: a categorical feature with more levels
 // than a byte code can address silently falls back to the exact engine.
 func TestBinnedManyLevelFallback(t *testing.T) {
@@ -360,7 +299,7 @@ func TestBinnedAllMissingFeature(t *testing.T) {
 	}
 	dc := f.MustCol("dead")
 	for i := 0; i < n; i++ {
-		dc.MarkNull(i)
+		dc.SetMissing(i)
 	}
 	tree, err := Fit(f, "y", []string{"x", "dead"}, Config{Split: SplitBinned, CP: 0.001})
 	if err != nil {

@@ -35,8 +35,8 @@ const oraclePath = "testdata/oracle.sha256"
 // oracleFrame builds the oracle's seeded matrix in one of two physical
 // layouts: typed uint8 categorical columns, or float64-backed ones. The
 // features cover every search path: a continuous column with NaNs, a
-// continuous column with tied values and null-marked cells, a 7-level
-// nominal with null marks, a 90-level nominal (its LeftSet spans two
+// continuous column with tied values and SetMissing cells, a 7-level
+// nominal with SetMissing cells, a 90-level nominal (its LeftSet spans two
 // words), and a 6-level ordinal. Targets: a non-integer regression
 // response and 2- and 3-class labels.
 func oracleFrame(t testing.TB, n int, typed bool) *frame.Frame {
@@ -129,10 +129,10 @@ func oracleFrame(t testing.TB, n int, typed bool) *frame.Frame {
 	addCat(f, "lab2", frame.Nominal, lab2, []string{"neg", "pos"})
 	addCat(f, "lab3", frame.Nominal, lab3, []string{"lo", "mid", "hi"})
 	for _, i := range tieNull {
-		f.MustCol("xtie").MarkNull(i)
+		f.MustCol("xtie").SetMissing(i)
 	}
 	for _, i := range nomNull {
-		f.MustCol("nom7").MarkNull(i)
+		f.MustCol("nom7").SetMissing(i)
 	}
 	return f
 }

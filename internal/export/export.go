@@ -84,14 +84,11 @@ func EventsJSONL(w io.Writer, events []simulate.Event) error {
 }
 
 // FrameCSV writes any frame as CSV, rendering categorical columns as
-// their level labels. Missing cells — null-bitmap marks as well as
-// non-finite floats — render as "NaN" in continuous columns and as
-// "NA" in categorical ones, the forms ReadFrameCSV maps back onto the
-// null bitmap. ("NA" rather than an empty field: a lone empty cell
-// would serialize a single-column frame's row as a blank line, which
-// encoding/csv readers silently drop.) A raw value hiding behind a
-// null mark is deliberately not exported: missing is missing at the
-// interchange boundary.
+// their level labels. Missing cells (see frame.Column.Missing) render
+// as "NaN" in continuous columns and as "NA" in categorical ones, the
+// forms ReadFrameCSV reads back as missing. ("NA" rather than an empty
+// field: a lone empty cell would serialize a single-column frame's row
+// as a blank line, which encoding/csv readers silently drop.)
 func FrameCSV(w io.Writer, f *frame.Frame) error {
 	cw := csv.NewWriter(w)
 	names := f.Names()

@@ -11,12 +11,12 @@ import (
 	"rainshine/internal/ingest"
 )
 
-// TestNullBitmapPipeline walks a damaged frame through the full
-// missing-data path: ingest quarantine populates the null bitmaps, the
+// TestMissingCellPipeline walks a damaged frame through the full
+// missing-data path: ingest quarantine writes the missing sentinels, the
 // CART learner routes the marked rows through its missing handling, and
 // the CSV interchange preserves per-column missingness so leaf
 // assignment is identical on the re-imported frame.
-func TestNullBitmapPipeline(t *testing.T) {
+func TestMissingCellPipeline(t *testing.T) {
 	const n = 48
 	temp := make([]float64, n)
 	hum := make([]float64, n)
@@ -46,15 +46,15 @@ func TestNullBitmapPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ingest quarantine: non-finite cells become bitmap-marked NaNs.
+	// Ingest quarantine: non-finite cells become the NaN sentinel.
 	if _, err := ingest.SanitizeFrame(f, []string{"temp", "dc", "y"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tc := f.MustCol("temp")
-	if tc.NullCount() != 3 || tc.MissingCount() != 3 {
-		t.Fatalf("temp nulls=%d missing=%d, want 3/3", tc.NullCount(), tc.MissingCount())
+	if tc.MissingCount() != 3 {
+		t.Fatalf("temp missing=%d, want 3", tc.MissingCount())
 	}
-	// A categorical null exercises the empty-string interchange form.
+	// A categorical null exercises the NA interchange form.
 	f.MustCol("dc").SetMissing(5)
 
 	tree, err := cart.Fit(f, "y", []string{"temp", "dc"}, cart.Config{MinLeaf: 4})
@@ -88,8 +88,8 @@ func TestNullBitmapPipeline(t *testing.T) {
 		}
 	}
 	bdc := back.MustCol("dc")
-	if !bdc.Missing(5) || bdc.NullCount() != 1 {
-		t.Fatalf("dc null mark lost: missing(5)=%v nulls=%d", bdc.Missing(5), bdc.NullCount())
+	if !bdc.Missing(5) || bdc.MissingCount() != 1 {
+		t.Fatalf("dc missing cell lost: missing(5)=%v missing=%d", bdc.Missing(5), bdc.MissingCount())
 	}
 	if got := bdc.LevelOf(bdc.Float(0)); got != "DC1" {
 		t.Fatalf("dc levels perturbed by null: %q", got)
@@ -106,12 +106,12 @@ func TestNullBitmapPipeline(t *testing.T) {
 	}
 }
 
-// FuzzNullBitmapRoundTrip: any frame the importer accepts must survive
+// FuzzMissingCellRoundTrip: any frame the importer accepts must survive
 // write -> read with per-column kind and missing-count preserved, and
 // the serialized form must be a fixed point of the round trip. The seed
 // corpus includes an all-null column (every cell empty), which must
-// infer continuous and keep its full bitmap.
-func FuzzNullBitmapRoundTrip(f *testing.F) {
+// infer continuous and keep every cell missing.
+func FuzzMissingCellRoundTrip(f *testing.F) {
 	f.Add("x,y\n1,\n2,\n")           // y is all-null
 	f.Add("temp,dc\nNaN,DC1\n80,\n") // float NaN + categorical null
 	f.Add("a\n\"\"\n")               // single all-null column

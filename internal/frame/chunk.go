@@ -6,57 +6,11 @@ package frame
 // chunk order and the reduction is byte-identical for every -workers.
 const ChunkRows = 64 * 1024
 
-// Chunk is a view of a contiguous row range [Lo, Hi) of one column.
-// Exactly one of Data/Codes aliases the column's dense storage (no
-// copy), matching the column's physical layout; Missing and MarkNull
-// address rows chunk-relative.
-type Chunk struct {
-	Lo, Hi int
-	Data   []float64 // float64-backed columns
-	Codes  []uint8   // typed (uint8 code) columns
-	col    *Column
-}
-
-// Len returns the number of rows in the chunk.
-func (ch Chunk) Len() int { return ch.Hi - ch.Lo }
-
-// Missing reports whether chunk-relative row i is missing (null-marked
-// or non-finite) in the underlying column.
-func (ch Chunk) Missing(i int) bool { return ch.col.Missing(ch.Lo + i) }
-
-// MarkNull null-marks chunk-relative row i in the underlying column.
-// The write lands in shared column storage: only mutate chunks of an
-// exclusively owned column (Clone the column first otherwise).
-func (ch Chunk) MarkNull(i int) { ch.col.MarkNull(ch.Lo + i) }
-
-// Chunk returns the view of rows [lo, hi) of the column.
-func (c *Column) Chunk(lo, hi int) Chunk {
-	ch := Chunk{Lo: lo, Hi: hi, col: c}
-	if c.codes != nil {
-		ch.Codes = c.codes[lo:hi]
-	} else {
-		ch.Data = c.Data[lo:hi]
-	}
-	return ch
-}
-
-// Chunks splits the column into views of at most chunkRows rows each
-// (ChunkRows when chunkRows <= 0), in row order. The fixed split is the
-// determinism contract: fan the chunks across any number of workers and
-// merge per-chunk results in slice order.
-func (c *Column) Chunks(chunkRows int) []Chunk {
-	bounds := ChunkBounds(c.Len(), chunkRows)
-	out := make([]Chunk, len(bounds))
-	for i, b := range bounds {
-		out[i] = c.Chunk(b[0], b[1])
-	}
-	return out
-}
-
 // ChunkBounds splits [0, n) into [lo, hi) ranges of at most chunkRows
-// rows (ChunkRows when chunkRows <= 0), in order. It is the shared
-// boundary rule behind Column.Chunks for callers that scan several
-// columns in lockstep.
+// rows (ChunkRows when chunkRows <= 0), in order. The fixed split is the
+// determinism contract: fan the ranges across any number of workers,
+// slice each column's storage to them, and merge per-range results in
+// slice order.
 func ChunkBounds(n, chunkRows int) [][2]int {
 	if n <= 0 {
 		return nil

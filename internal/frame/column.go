@@ -19,14 +19,10 @@ const MaxTypedLevels = 255
 //     indices in codes: a quarter of the memory, and the shape the
 //     binned CART coding pass copies without a float64 round-trip.
 //
-// Exactly one of Data/codes is populated. Missing cells are carried two
-// ways, and a cell is missing if either marks it:
-//
-//   - an in-band sentinel — a non-finite value (NaN/±Inf) in Data, or a
-//     code at or above len(Levels) in a typed column;
-//   - a set bit in the null bitmap — the explicit marking the ingest
-//     quarantine/repair pipeline writes, which can coexist with a
-//     valid-looking (suspect) raw value kept for forensics.
+// Exactly one of Data/codes is populated. A missing cell has one
+// encoding, an in-band sentinel in the cell itself: a non-finite value
+// (NaN/±Inf) in Data, or a code at or above len(Levels) in a typed
+// column. SetMissing writes it; Missing tests it.
 type Column struct {
 	Name   string
 	Kind   Kind
@@ -37,9 +33,6 @@ type Column struct {
 	// columns; nil for float64-backed columns. Shared storage with the
 	// same aliasing rules as Data.
 	codes []uint8
-
-	// nulls marks cells quarantined by ingest; nil means none.
-	nulls *Bitmap
 }
 
 // Len returns the number of rows in the column, whatever the physical
@@ -60,8 +53,7 @@ func (c *Column) Codes() []uint8 { return c.codes }
 
 // Float returns the raw cell at row i as a float64 regardless of
 // layout. For typed columns this is float64(code) — exact, since every
-// code fits in a byte. It reports the stored value only; use Missing
-// for the null-bitmap union.
+// code fits in a byte. Use Missing to tell a sentinel from a value.
 func (c *Column) Float(i int) float64 {
 	if c.codes != nil {
 		return float64(c.codes[i])
@@ -71,7 +63,7 @@ func (c *Column) Float(i int) float64 {
 
 // Code returns the level index stored at row i of a categorical column,
 // whatever the layout. The index is not range-checked: callers that can
-// see corrupt or null-marked cells must consult Missing first.
+// see corrupt or missing cells must consult Missing first.
 func (c *Column) Code(i int) int {
 	if c.codes != nil {
 		return int(c.codes[i])
@@ -82,8 +74,7 @@ func (c *Column) Code(i int) int {
 // LevelIndex returns the level index stored at row i of a categorical
 // column and whether it names one of the column's levels. It is false
 // for the typed missing sentinel, any other out-of-range code, and a
-// NaN cell. Like Code it reports the stored cell only; the null bitmap
-// is not consulted.
+// NaN cell.
 func (c *Column) LevelIndex(i int) (int, bool) {
 	if c.codes != nil {
 		v := int(c.codes[i])
@@ -120,28 +111,19 @@ func (c *Column) LevelRows() iter.Seq2[int, int] {
 	}
 }
 
-// Values returns the column as dense float64 with every missing cell
-// (null-marked or in-band sentinel) materialized as NaN. A
-// float64-backed column with no null marks aliases Data — no copy, so
-// treat the result as read-only; every other case allocates a fresh
-// slice the caller owns.
+// Values returns the column as dense float64. A float64-backed column
+// returns Data itself — no copy, so treat the result as read-only —
+// whose missing cells already hold their NaN/±Inf sentinel. A typed
+// column decodes into a fresh slice the caller owns, each sentinel code
+// as NaN.
 func (c *Column) Values() []float64 {
 	if c.codes == nil {
-		if !c.nulls.Any() {
-			return c.Data
-		}
-		out := append([]float64(nil), c.Data...)
-		for i := range out {
-			if c.nulls.Get(i) {
-				out[i] = math.NaN()
-			}
-		}
-		return out
+		return c.Data
 	}
 	out := make([]float64, len(c.codes))
 	nl := uint8(len(c.Levels))
 	for i, cd := range c.codes {
-		if cd >= nl || c.nulls.Get(i) {
+		if cd >= nl {
 			out[i] = math.NaN()
 			continue
 		}
@@ -169,22 +151,10 @@ func (c *Column) LevelOf(v float64) string {
 	return c.Levels[i]
 }
 
-// MarkNull sets the null bit for row i, leaving the cell storage
-// untouched so the quarantined raw value stays inspectable. Analyses
-// that honor the bitmap treat the cell as missing regardless of the
-// stored value.
-func (c *Column) MarkNull(i int) {
-	if c.nulls == nil {
-		c.nulls = NewBitmap(c.Len())
-	}
-	c.nulls.Set(i)
-}
-
-// SetMissing marks row i null and overwrites the cell with the in-band
-// sentinel legacy consumers that read the storage directly understand:
-// NaN for float64-backed columns, an out-of-range code for typed ones.
+// SetMissing overwrites the cell at row i with the layout's missing
+// sentinel: NaN for float64-backed columns, an out-of-range code for
+// typed ones.
 func (c *Column) SetMissing(i int) {
-	c.MarkNull(i)
 	if c.codes != nil {
 		c.codes[i] = MaxTypedLevels
 		return
@@ -192,12 +162,10 @@ func (c *Column) SetMissing(i int) {
 	c.Data[i] = math.NaN()
 }
 
-// Missing reports whether the cell at row i is unusable: null-marked or
-// carrying the layout's in-band sentinel.
+// Missing reports whether the cell at row i carries the layout's
+// missing sentinel: a non-finite value in a float64-backed column, a
+// code at or above len(Levels) in a typed one.
 func (c *Column) Missing(i int) bool {
-	if c.nulls.Get(i) {
-		return true
-	}
 	if c.codes != nil {
 		return int(c.codes[i]) >= len(c.Levels)
 	}
@@ -205,16 +173,7 @@ func (c *Column) Missing(i int) bool {
 	return math.IsNaN(v) || math.IsInf(v, 0)
 }
 
-// HasNulls reports whether any cell carries an explicit null mark. It
-// deliberately ignores in-band sentinels; use MissingCount for the
-// union.
-func (c *Column) HasNulls() bool { return c.nulls.Any() }
-
-// NullCount returns the number of explicitly null-marked cells.
-func (c *Column) NullCount() int { return c.nulls.Count() }
-
-// MissingCount returns the number of missing cells: the union of
-// null-marked and in-band-sentinel entries.
+// MissingCount returns the number of missing cells.
 func (c *Column) MissingCount() int {
 	total := 0
 	for i, n := 0, c.Len(); i < n; i++ {
@@ -225,21 +184,10 @@ func (c *Column) MissingCount() int {
 	return total
 }
 
-// Nulls returns the column's null bitmap, or nil when no cell was ever
-// marked. The bitmap is shared storage, like Data: treat it as
-// read-only unless the column is exclusively owned.
-func (c *Column) Nulls() *Bitmap { return c.nulls }
-
-// Clone returns a deep copy of the column — its own cell storage and
-// null bitmap — safe to mutate regardless of who else holds the
-// original.
+// Clone returns a deep copy of the column — its own cell storage — safe
+// to mutate regardless of who else holds the original.
 func (c *Column) Clone() *Column {
-	cl := &Column{
-		Name:   c.Name,
-		Kind:   c.Kind,
-		Levels: c.Levels,
-		nulls:  c.nulls.Clone(),
-	}
+	cl := &Column{Name: c.Name, Kind: c.Kind, Levels: c.Levels}
 	if c.codes != nil {
 		cl.codes = append([]uint8(nil), c.codes...)
 	} else {

@@ -9,13 +9,12 @@
 // Storage is columnar, dense, and physically typed: continuous columns
 // hold raw float64 values, and categorical columns with at most 255
 // levels hold uint8 level indices into their level table (wider level
-// tables fall back to float64 codes). Missing cells are marked by
-// per-column null bitmaps (populated by the ingest quarantine/repair
-// pipeline) in addition to each layout's in-band sentinel — NaN for
-// float64 cells, an out-of-range code for typed ones; see Column.
-// Fleet-scale scans iterate the fixed-size chunk views of
-// Column.Chunks, whose boundaries never depend on the worker count, so
-// chunked fork-join reductions stay byte-identical for every -workers.
+// tables fall back to float64 codes). A missing cell is the layout's
+// in-band sentinel and nothing else — NaN for float64 cells, an
+// out-of-range code for typed ones; see Column. Fleet-scale scans split
+// rows on the fixed ChunkBounds, which never depend on the worker
+// count, so chunked fork-join reductions stay byte-identical for every
+// -workers.
 package frame
 
 import (
@@ -162,9 +161,9 @@ func (f *Frame) addTyped(name string, kind Kind, codes []uint8, levels []string)
 }
 
 // AddColumn appends the column descriptor as-is, sharing its underlying
-// cell storage and null bitmap. It is the external spelling of carrying
-// an existing column (typically a Clone, or one freshly built) over to
-// a derived frame without re-coding through the typed constructors.
+// cell storage. It is the external spelling of carrying an existing
+// column (typically a Clone, or one freshly built) over to a derived
+// frame without re-coding through the typed constructors.
 func (f *Frame) AddColumn(c Column) error { return f.add(c) }
 
 func (f *Frame) add(c Column) error {
@@ -235,8 +234,7 @@ func (f *Frame) Filter(keep func(row int) bool) *Frame {
 	return f.Subset(rows)
 }
 
-// Subset returns a new frame with the given row indices (copying data
-// and, where present, the per-row null marks).
+// Subset returns a new frame with the given row indices, copying data.
 func (f *Frame) Subset(rows []int) *Frame {
 	out := New(len(rows))
 	for _, c := range f.cols {
@@ -253,15 +251,6 @@ func (f *Frame) Subset(rows []int) *Frame {
 				data[i] = c.Data[r]
 			}
 			nc.Data = data
-		}
-		if c.nulls.Any() {
-			nulls := NewBitmap(len(rows))
-			for i, r := range rows {
-				if c.nulls.Get(r) {
-					nulls.Set(i)
-				}
-			}
-			nc.nulls = nulls
 		}
 		if err := out.add(nc); err != nil {
 			// Unreachable: source frame invariants guarantee validity.

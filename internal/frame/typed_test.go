@@ -95,22 +95,18 @@ func TestAddCodesAdoptsAndKeepsSentinels(t *testing.T) {
 	}
 }
 
-func TestTypedSetMissingAndMarkNull(t *testing.T) {
+func TestTypedSetMissing(t *testing.T) {
 	f := New(3)
 	if err := f.AddNominalInts("k", []int{0, 1, 0}, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
 	c := f.MustCol("k")
-	c.MarkNull(0)
-	if !c.Missing(0) || c.Codes()[0] != 0 {
-		t.Error("MarkNull must keep the stored code inspectable")
-	}
 	c.SetMissing(1)
 	if !c.Missing(1) || int(c.Codes()[1]) < len(c.Levels) {
 		t.Error("SetMissing must write the out-of-range sentinel code")
 	}
-	if c.NullCount() != 2 || c.MissingCount() != 2 {
-		t.Errorf("counts = %d nulls, %d missing", c.NullCount(), c.MissingCount())
+	if c.Missing(0) || c.MissingCount() != 1 {
+		t.Errorf("missing(0)=%v MissingCount=%d, want false, 1", c.Missing(0), c.MissingCount())
 	}
 }
 
@@ -120,7 +116,7 @@ func TestTypedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := f.MustCol("k")
-	c.MarkNull(3)
+	c.SetMissing(3)
 	v := c.Values()
 	if v[0] != 1 || v[1] != 0 {
 		t.Errorf("Values = %v", v)
@@ -129,20 +125,17 @@ func TestTypedValues(t *testing.T) {
 		t.Error("out-of-range code must decode to NaN")
 	}
 	if !math.IsNaN(v[3]) {
-		t.Error("null-marked cell must decode to NaN")
+		t.Error("SetMissing cell must decode to NaN")
 	}
-	// Continuous columns without nulls alias their storage.
+	// Continuous columns alias their storage, missing cells included.
 	if err := f.AddContinuous("x", []float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	x := f.MustCol("x")
-	if vv := x.Values(); &vv[0] != &x.Data[0] {
-		t.Error("no-null continuous Values should alias Data")
-	}
-	x.MarkNull(1)
+	x.SetMissing(1)
 	vv := x.Values()
-	if &vv[0] == &x.Data[0] || !math.IsNaN(vv[1]) || vv[2] != 3 {
-		t.Error("null-marked continuous Values must copy and patch NaN")
+	if &vv[0] != &x.Data[0] || !math.IsNaN(vv[1]) || vv[2] != 3 {
+		t.Error("continuous Values must alias Data, its missing cell NaN")
 	}
 }
 
@@ -152,58 +145,26 @@ func TestTypedCloneAndSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := f.MustCol("k")
-	c.MarkNull(2)
+	c.SetMissing(2)
 
 	cl := c.Clone()
 	cl.Codes()[0] = 1
-	cl.MarkNull(1)
+	cl.SetMissing(1)
 	if c.Codes()[0] != 0 || c.Missing(1) {
-		t.Error("Clone aliased typed storage or bitmap")
+		t.Error("Clone aliased typed storage")
 	}
 
 	sub := f.Subset([]int{2, 3})
 	sc := sub.MustCol("k")
-	if sc.Codes() == nil || sc.Codes()[0] != 1 || sc.Codes()[1] != 0 {
+	if sc.Codes() == nil || sc.Codes()[0] != MaxTypedLevels || sc.Codes()[1] != 0 {
 		t.Errorf("subset codes = %v", sc.Codes())
 	}
 	if !sc.Missing(0) || sc.Missing(1) {
-		t.Error("subset must carry null marks by position")
+		t.Error("subset must carry missing cells by position")
 	}
 	sc.Codes()[1] = 1
 	if c.Codes()[3] != 0 {
 		t.Error("Subset aliased parent typed storage")
-	}
-}
-
-func TestTypedChunks(t *testing.T) {
-	n := 100
-	codes := make([]uint8, n)
-	for i := range codes {
-		codes[i] = uint8(i % 3)
-	}
-	f := New(n)
-	if err := f.AddNominalCodes("k", codes, []string{"a", "b", "c"}); err != nil {
-		t.Fatal(err)
-	}
-	c := f.MustCol("k")
-	chs := c.Chunks(64)
-	if len(chs) != 2 {
-		t.Fatalf("chunks = %d", len(chs))
-	}
-	for _, ch := range chs {
-		if ch.Data != nil {
-			t.Fatal("typed chunk must not carry a Data view")
-		}
-		if len(ch.Codes) != ch.Len() {
-			t.Fatalf("codes view len %d, chunk len %d", len(ch.Codes), ch.Len())
-		}
-		if &ch.Codes[0] != &codes[ch.Lo] {
-			t.Fatal("chunk Codes must alias column storage")
-		}
-	}
-	c.MarkNull(70)
-	if !chs[1].Missing(70 - chs[1].Lo) {
-		t.Error("chunk Missing must see column null marks")
 	}
 }
 

@@ -167,18 +167,18 @@ func TestSanitizeFrame(t *testing.T) {
 	if !math.IsNaN(c.Data[3]) {
 		t.Error("Inf cell not normalized to NaN")
 	}
-	// Quarantined cells land in the null bitmap, so downstream layers
-	// can test missingness without probing floats.
-	if got := c.NullCount(); got != 2 {
-		t.Errorf("temp null count = %d, want 2", got)
+	// Quarantined cells carry the missing sentinel downstream layers
+	// test.
+	if got := c.MissingCount(); got != 2 {
+		t.Errorf("temp missing count = %d, want 2", got)
 	}
 	for i, want := range []bool{false, true, false, true} {
 		if c.Missing(i) != want {
 			t.Errorf("temp Missing(%d) = %v, want %v", i, c.Missing(i), want)
 		}
 	}
-	if rh, _ := f.Col("rh"); rh.HasNulls() {
-		t.Error("undamaged column gained null marks")
+	if rh, _ := f.Col("rh"); rh.MissingCount() != 0 {
+		t.Error("undamaged column gained missing cells")
 	}
 	// Coverage: 2 missing of 4 cells in the one damaged column of two.
 	if got := q.Coverage(); math.Abs(got-0.75) > 1e-12 {
