@@ -40,9 +40,10 @@
 // Flags:
 //
 //	-seed N     root RNG seed (default 42)
-//	-days N     observation window in days (default 930)
+//	-days N     observation window in days (default 930; at least 1)
 //	-racks A,B  rack counts for DC1,DC2 (default 331,290)
-//	-small      shorthand for a fast reduced study (-days 365 -racks 120,100)
+//	-small      shorthand for a fast reduced study (-days 365 -racks 120,100);
+//	            an explicit -days or -racks overrides its half
 //	-hourly     use hourly provisioning granularity for q1
 //	-faults     dirty-data mode: inject the default deterministic fault mix
 //	            into the recorded telemetry and scrub it through ingest
@@ -82,9 +83,9 @@ func main() {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("rainshine", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "root RNG seed")
-	days := fs.Int("days", 930, "observation window in days")
+	days := fs.Int("days", 930, "observation window in days (at least 1)")
 	racks := fs.String("racks", "", "rack counts dc1,dc2 (default paper-scale 331,290)")
-	small := fs.Bool("small", false, "fast reduced study")
+	small := fs.Bool("small", false, "fast reduced study: -days 365 -racks 120,100 unless given explicitly")
 	hourly := fs.Bool("hourly", false, "hourly granularity for q1")
 	dirty := fs.Bool("faults", false, "inject the default deterministic fault mix (dirty-data mode)")
 	workers := fs.Int("workers", 0,
@@ -100,6 +101,20 @@ func run(args []string) (err error) {
 	if len(rest) == 0 {
 		fs.Usage()
 		return fmt.Errorf("missing command (try: rainshine -small all)")
+	}
+	// -small fills in whichever of -days and -racks was not given.
+	if *small {
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if !set["days"] {
+			*days = 365
+		}
+		if !set["racks"] {
+			*racks = "120,100"
+		}
+	}
+	if *days < 1 {
+		return fmt.Errorf("-days must be at least 1, got %d", *days)
 	}
 	// Reject a bad bin budget here, before any simulation spends time;
 	// the same typed check guards the WithBins option inside NewStudy.
@@ -119,9 +134,6 @@ func run(args []string) (err error) {
 	opts := []rainshine.Option{rainshine.WithSeed(*seed), rainshine.WithDays(*days)}
 	if *workers != 0 {
 		opts = append(opts, rainshine.WithWorkers(*workers))
-	}
-	if *small {
-		opts = append(opts, rainshine.WithDays(365), rainshine.WithRacks(120, 100))
 	}
 	if *dirty {
 		opts = append(opts, rainshine.WithFaults(rainshine.DefaultFaults()))

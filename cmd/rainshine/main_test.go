@@ -167,6 +167,31 @@ func TestRunArgErrors(t *testing.T) {
 	}
 }
 
+// TestStudyFlags pins how -small, -days and -racks combine: an explicit
+// -days or -racks overrides its half of -small, and a -days below 1 is
+// rejected at flag parse instead of running the paper window (0) or
+// failing inside the simulation (negative).
+func TestStudyFlags(t *testing.T) {
+	for _, c := range []struct {
+		args        []string
+		racks, days string
+	}{
+		{[]string{"-small", "-days", "100", "summary"}, "220", "100"},
+		{[]string{"-small", "-days", "30", "-racks", "3,2", "summary"}, "5", "30"},
+	} {
+		out := runStdout(t, c.args...)
+		if !strings.Contains(out, "Fleet: "+c.racks+" racks") || !strings.Contains(out, "over "+c.days+" days") {
+			t.Errorf("rainshine %s: want %s racks over %s days, got:\n%s", strings.Join(c.args, " "), c.racks, c.days, out)
+		}
+	}
+	for _, days := range []string{"0", "-5"} {
+		err := run([]string{"-days", days, "summary"})
+		if err == nil || !strings.Contains(err.Error(), "-days must be at least 1") {
+			t.Errorf("-days %s: err = %v, want the flag-parse rejection", days, err)
+		}
+	}
+}
+
 // TestProfileFlagsWriteFiles runs a tiny study with both profile flags
 // and checks that non-empty pprof files land where asked.
 func TestProfileFlagsWriteFiles(t *testing.T) {
