@@ -32,12 +32,11 @@ type Config struct {
 	// DisableRefit turns the live CART maintainer off (the final study
 	// is unaffected; only mid-stream LiveTree queries go away).
 	DisableRefit bool
-	// RefitEvery is the day-close cadence of live refits. Zero means 7
-	// (weekly model refresh).
-	RefitEvery int
-	// Refit tunes the drift thresholds of the live refitter.
-	Refit cart.RefitConfig
 }
+
+// refitEvery is the day-close cadence of live refits: a weekly model
+// refresh, plus one at the final day close.
+const refitEvery = 7
 
 func (c Config) withDefaults() Config {
 	switch {
@@ -45,9 +44,6 @@ func (c Config) withDefaults() Config {
 		c.Lateness = 1
 	case c.Lateness < 0:
 		c.Lateness = 0
-	}
-	if c.RefitEvery == 0 {
-		c.RefitEvery = 7
 	}
 	return c
 }
@@ -165,11 +161,8 @@ func NewMaintainer(cfg Config) (*Maintainer, error) {
 	}
 	m.stats.MaxDaySeen = -1
 	if !cfg.DisableRefit {
-		rc := cfg.Refit
-		if rc.Config.Workers == 0 {
-			rc.Config.Workers = cfg.Sim.Workers
-		}
-		m.refitter, err = cart.NewRefitter("disk_failures", liveFeatures(), nil, rc)
+		m.refitter, err = cart.NewRefitter("disk_failures", liveFeatures(), nil,
+			cart.RefitConfig{Config: cart.Config{Workers: cfg.Sim.Workers}})
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +365,7 @@ func (m *Maintainer) commitDay(ctx context.Context, d int) error {
 		if err := m.appendLiveRows(d, dc.Events); err != nil {
 			return err
 		}
-		if m.closed%m.cfg.RefitEvery == 0 || m.closed == m.days {
+		if m.closed%refitEvery == 0 || m.closed == m.days {
 			if m.refitter.Rows() > 0 {
 				rep, err := m.refitter.Refit(ctx)
 				if err != nil {
