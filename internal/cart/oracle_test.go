@@ -315,6 +315,65 @@ func oracleRefits(t *testing.T) []oracleFit {
 			out = append(out, oracleFit{fmt.Sprintf("refit/%s/step%d", seq.name, si), b.String()})
 		}
 	}
+
+	// A stream-shaped sequence: several Append calls per Refit, as the
+	// live maintainer makes between its weekly refits. Among the batches
+	// are an empty one, one whose x2 cells are all NaN, and one whose
+	// x1 values tie rows already held and whose x2 values are -0 and +0,
+	// as some held rows' are. Its four refits reach every outcome.
+	r, err := NewRefitter("y", refitFeatures(), nil,
+		RefitConfig{Config: Config{Workers: 2, CP: 0.002}, GlobalDrift: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type batch struct {
+		rows [][]float64
+		y    []float64
+	}
+	draw := func(seed uint64, n int) batch {
+		rows, y := refitData(seed, n)
+		return batch{rows, y}
+	}
+	base := draw(41, 1500)
+	for i := 0; i < len(base.rows); i += 9 {
+		base.rows[i][1] = math.Copysign(0, float64(i%2)-0.5)
+	}
+	nan := draw(42, 60)
+	for _, row := range nan.rows {
+		row[1] = math.NaN()
+	}
+	tie := draw(43, 90)
+	for i, row := range tie.rows {
+		row[0] = base.rows[(i*37)%len(base.rows)][0]
+		row[1] = math.Copysign(0, float64(i%2)-0.5)
+	}
+	day := draw(44, 40)
+	drows, dy := hot(45, 120, 25)
+	drift := batch{drows, dy}
+	tail := draw(46, 1800)
+	for ri, batches := range [][]batch{
+		{base},
+		{day, {}, nan, tie},
+		{drift, {}, {day.rows[:7], day.y[:7]}},
+		{{nan.rows[:1], nan.y[:1]}, tie, tail},
+	} {
+		for _, bt := range batches {
+			if err := r.Append(bt.rows, bt.y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := r.Refit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[rep.Outcome] = true
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s rows=%d appended=%d leaves=%d drifted=%d\n",
+			rep.Outcome, rep.Rows, rep.RowsAppended, rep.Leaves, rep.Drifted)
+		dumpTree(&b, r.Tree())
+		out = append(out, oracleFit{fmt.Sprintf("refit/stream/refit%d", ri), b.String()})
+	}
+
 	for _, o := range []RefitOutcome{RefitInitial, RefitStats, RefitSubtrees, RefitFull} {
 		if !seen[o] {
 			t.Errorf("refit sequences never reached outcome %v", o)
