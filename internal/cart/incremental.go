@@ -52,8 +52,8 @@ const (
 	// reused.
 	RefitSubtrees
 	// RefitFull means drift was global and the whole tree was regrown
-	// (still reusing the incrementally merged presorted orders, so no
-	// re-sort happens even here).
+	// (still reusing the maintained presorted orders, brought current by
+	// one merge per feature, so no re-sort happens even here).
 	RefitFull
 )
 
@@ -84,13 +84,17 @@ type RefitStatsReport struct {
 
 // Refitter maintains a CART model over an append-only training set: new
 // rows arrive in batches (a streamed day of rack-day rows), and Refit
-// brings the tree current without re-sorting history. Each feature's
-// presorted order is maintained by merging the sorted batch into the
-// existing order (O(n + k log k) per feature instead of O(n log n)),
-// and structure is regrown only under the drifted leaves — rows are
-// routed through the current tree, leaves whose populations shifted
-// beyond RefitConfig.LeafDrift get their subtrees refit on their row
-// subsets, and only global drift falls back to a whole-tree regrowth.
+// brings the tree current without re-sorting history. Append sorts a
+// batch of k rows (O(k log k)) and merges it into each numeric
+// feature's pending run, the rows appended since the last Refit; its
+// cost does not grow with the n rows held. Refit merges each pending
+// run into the feature's maintained presorted order once (O(n) per
+// feature instead of an O(n log n) re-sort). However the merges are
+// batched, the maintained order is the unique (value, row index) order.
+// Structure is regrown only under the drifted leaves — rows are routed
+// through the current tree, leaves whose populations shifted beyond
+// RefitConfig.LeafDrift get their subtrees refit on their row subsets,
+// and only global drift falls back to a whole-tree regrowth.
 //
 // Refit results are deterministic: row order is append order, the
 // regrowth uses the same worker-count-independent split search as Fit,
@@ -103,9 +107,10 @@ type Refitter struct {
 	feats       []Feature
 	classLevels []string
 
-	cols   [][]float64
-	y      []float64
-	sorted [][]int32 // per feature, finite rows by (value, row); nil for nominal
+	cols    [][]float64
+	y       []float64
+	sorted  [][]int32 // per feature, finite rows up to the last Refit by (value, row); nil for nominal
+	pending [][]int32 // per feature, finite rows appended since, in the same order
 
 	tree      *Tree
 	baseLeafN []int // leaf populations at the last structural fit
@@ -141,6 +146,7 @@ func NewRefitter(target string, feats []Feature, classLevels []string, cfg Refit
 		classLevels: slices.Clone(classLevels),
 		cols:        make([][]float64, len(feats)),
 		sorted:      make([][]int32, len(feats)),
+		pending:     make([][]int32, len(feats)),
 		x:           make([]float64, len(feats)),
 	}
 	return r, nil
@@ -153,8 +159,11 @@ func (r *Refitter) Rows() int { return len(r.y) }
 func (r *Refitter) Tree() *Tree { return r.tree }
 
 // Append adds a batch of rows (each of len(feats) feature values, NaN
-// for missing) with their targets, merging each numeric feature's
-// sorted batch into the maintained presorted order.
+// for missing) with their targets. Each numeric feature's finite new
+// rows are sorted and merged into that feature's pending run, so a
+// batch of k rows costs O(k log k) plus the pending run's length,
+// whatever the rows held; the maintained presorted orders wait for
+// Refit.
 func (r *Refitter) Append(rows [][]float64, y []float64) error {
 	if len(rows) != len(y) {
 		return fmt.Errorf("cart: %d rows vs %d targets", len(rows), len(y))
@@ -186,35 +195,32 @@ func (r *Refitter) Append(rows [][]float64, y []float64) error {
 		if r.feats[fi].Kind == frame.Nominal {
 			continue
 		}
-		r.sorted[fi] = mergeSorted(r.sorted[fi], col, base, len(rows))
+		r.pending[fi] = mergeRuns(r.pending[fi], sortedFinite(col, base, base+len(rows)), col)
 	}
 	r.appended += len(rows)
 	return nil
 }
 
-// mergeSorted merges the finite new rows [base, base+k) — sorted by
-// (value, row index) — into the existing presorted order over col.
-func mergeSorted(old []int32, col []float64, base, k int) []int32 {
-	batch := sortedFinite(col, base, base+k)
-	if len(batch) == 0 {
-		return old
+// mergeRuns merges run b into run a, both sorted by (value, row index)
+// over col, where every row of b comes after every row of a. It works
+// in place from the back of a, so value ties keep a's element first.
+// An empty a adopts b as it is.
+func mergeRuns(a, b []int32, col []float64) []int32 {
+	if len(a) == 0 {
+		return b
 	}
-	merged := make([]int32, 0, len(old)+len(batch))
-	i, j := 0, 0
-	for i < len(old) && j < len(batch) {
-		// Old rows always have smaller indices, so value ties break
-		// toward the old side.
-		if col[old[i]] <= col[batch[j]] {
-			merged = append(merged, old[i])
-			i++
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && col[a[i]] > col[b[j]] {
+			a[k] = a[i]
+			i--
 		} else {
-			merged = append(merged, batch[j])
-			j++
+			a[k] = b[j]
+			j--
 		}
 	}
-	merged = append(merged, old[i:]...)
-	merged = append(merged, batch[j:]...)
-	return merged
+	return a
 }
 
 // Refit brings the tree current over the accumulated rows. See the
@@ -225,6 +231,12 @@ func (r *Refitter) Refit(ctx context.Context) (RefitStatsReport, error) {
 		return rep, errors.New("cart: refit with no rows")
 	}
 	defer func() { r.appended = 0 }()
+	// Only Refit reads the presorted orders: bring them current once,
+	// before anything else can fail.
+	for fi, p := range r.pending {
+		r.sorted[fi] = mergeRuns(r.sorted[fi], p, r.cols[fi])
+		r.pending[fi] = nil
+	}
 
 	if r.tree == nil {
 		rep.Outcome = RefitInitial

@@ -3,6 +3,7 @@ package cart
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,5 +223,66 @@ func TestPropSSEDecreasesWithSplits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropRefitterMaintainedOrder drives Refitters through random
+// Append/Refit schedules: batches of 0 to 300 rows whose numeric cells
+// come from a small set (so ties are common) holding -0, +0, NaN and
+// ±Inf. Between refits Append must leave the maintained orders alone;
+// after each Refit every numeric feature's order must be the full
+// (value, row) order of its finite cells, with no pending row left.
+func TestPropRefitterMaintainedOrder(t *testing.T) {
+	values := []float64{-2, -1, math.Copysign(0, -1), 0, 0.5, 1, 3, math.NaN(), math.Inf(1), math.Inf(-1)}
+	feats := []Feature{
+		{Name: "a", Kind: frame.Continuous},
+		{Name: "b", Kind: frame.Continuous},
+		{Name: "o", Kind: frame.Ordinal, Levels: []string{"o0", "o1", "o2", "o3"}},
+		{Name: "c", Kind: frame.Nominal, Levels: []string{"c0", "c1", "c2"}},
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		src := rng.New(seed)
+		r, err := NewRefitter("y", feats, nil, RefitConfig{Config: Config{Workers: 1, CP: 0.01}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := 0 // rows up to the last Refit
+		batches := 1 + src.IntN(12)
+		for bi := 0; bi < batches; bi++ {
+			k := src.IntN(301)
+			rows := make([][]float64, k)
+			y := make([]float64, k)
+			for i := range rows {
+				o, c := float64(src.IntN(4)), float64(src.IntN(3))
+				if src.Float64() < 0.1 {
+					o = math.NaN()
+				}
+				rows[i] = []float64{values[src.IntN(len(values))], values[src.IntN(len(values))], o, c}
+				y[i] = c + src.NormFloat64()
+			}
+			if err := r.Append(rows, y); err != nil {
+				t.Fatal(err)
+			}
+			for fi, f := range feats {
+				if f.Kind != frame.Nominal && !slices.Equal(r.sorted[fi], sortedFinite(r.cols[fi], 0, held)) {
+					t.Fatalf("seed %d batch %d: Append moved feature %s's maintained order", seed, bi, f.Name)
+				}
+			}
+			if r.Rows() == 0 || (bi < batches-1 && src.Float64() < 0.6) {
+				continue
+			}
+			if _, err := r.Refit(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			held = r.Rows()
+			for fi, f := range feats {
+				if len(r.pending[fi]) != 0 {
+					t.Fatalf("seed %d batch %d: feature %s has %d pending rows after Refit", seed, bi, f.Name, len(r.pending[fi]))
+				}
+				if f.Kind != frame.Nominal && !slices.Equal(r.sorted[fi], sortedFinite(r.cols[fi], 0, held)) {
+					t.Fatalf("seed %d batch %d: feature %s's order is not the (value, row) order of its finite cells", seed, bi, f.Name)
+				}
+			}
+		}
 	}
 }
