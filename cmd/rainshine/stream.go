@@ -78,9 +78,9 @@ func streamReplay(path string, opts []rainshine.Option) error {
 			return err
 		}
 		defer f.Close()
-		in = bufio.NewReader(f)
+		in = f
 	}
-	rd, err := stream.NewReader(in)
+	rd, err := stream.NewReader(bufio.NewReader(in))
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // TestStreamWriteAndReplay writes a tiny study's stream log through the
-// CLI, replays it, and checks the replay prints the study envelope.
+// CLI, replays it from its path and from stdin, and checks that both
+// replays print the same study envelope.
 func TestStreamWriteAndReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "study.log")
 	tiny := []string{"-seed", "9", "-days", "30", "-racks", "3,2", "-workers", "1"}
@@ -25,26 +26,24 @@ func TestStreamWriteAndReplay(t *testing.T) {
 	}
 
 	// Replay prints the canonical envelope on stdout.
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run(withTiny("stream", "replay", path))
-	w.Close()
-	os.Stdout = old
-	out := make([]byte, 1<<16)
-	n, _ := r.Read(out)
-	r.Close()
-	if runErr != nil {
-		t.Fatalf("stream replay: %v", runErr)
-	}
-	body := string(out[:n])
+	body := runStdout(t, withTiny("stream", "replay", path)...)
 	for _, want := range []string{`"seed":9`, `"days":30`, `"quality"`, `"tree_leaves"`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("envelope missing %s:\n%s", want, body)
 		}
+	}
+
+	// "-" reads the same log from stdin.
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdin
+	os.Stdin = f
+	defer func() { os.Stdin = old }()
+	if got := runStdout(t, withTiny("stream", "replay", "-")...); got != body {
+		t.Errorf("replay from stdin printed\n%s\nwant (replay from the path)\n%s", got, body)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -173,7 +174,9 @@ func (f *follower) run(ctx context.Context) error {
 	defer file.Close()
 	f.publish(m.Stats(), m.LastClose(), nil, false)
 
-	rd, err := stream.NewReader(&tailReader{ctx: ctx, r: file, poll: f.cfg.PollInterval})
+	// The buffer only batches reads: a partial frame still blocks in
+	// the tail reader until the rest is appended.
+	rd, err := stream.NewReader(bufio.NewReader(&tailReader{ctx: ctx, r: file, poll: f.cfg.PollInterval}))
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()

@@ -56,7 +56,9 @@ func (w *Writer) Records() int64 { return w.n }
 // Reader decodes a log sequentially. A clean end of log returns io.EOF
 // from Next; every corruption mode returns a typed error (ErrBadMagic,
 // ErrTruncated, ErrChecksum, ErrTooLarge, ErrBadRecord) — never a
-// panic, never an unbounded allocation.
+// panic, never an unbounded allocation. Next reads each frame in two
+// calls to the underlying reader; callers own any buffering (wrap a
+// file or stdin in a bufio.Reader).
 type Reader struct {
 	r   io.Reader
 	buf [maxPayload]byte
