@@ -42,7 +42,8 @@ func typedStreamError(err error) bool {
 }
 
 // FuzzStreamReplay drives arbitrary bytes through the log reader and
-// every decoded record through a maintainer. Corrupt input must fail
+// every decoded record through a maintainer, live refitter included
+// (the seed log reaches three refits). Corrupt input must fail
 // with a typed error; it must never panic, never allocate unboundedly,
 // and never corrupt the maintainer into failing on later valid input.
 func FuzzStreamReplay(f *testing.F) {
@@ -89,7 +90,7 @@ func FuzzStreamReplay(f *testing.F) {
 		if len(recs) == 0 {
 			return
 		}
-		m, err := stream.NewMaintainer(stream.Config{Sim: simCfg, DisableRefit: true})
+		m, err := stream.NewMaintainer(stream.Config{Sim: simCfg})
 		if err != nil {
 			t.Fatal(err)
 		}
