@@ -90,17 +90,19 @@ bench-fleet-multicore:
 # the race detector, then TestBenchStreamRefit, which fails unless the
 # single-day incremental refit beats a from-scratch full refit (and
 # regressed <15% vs the snapshot), merging incremental_refit_20k into
-# BENCH_analysis.json.
+# BENCH_analysis.json. The snapshot was recorded at gomaxprocs=1, so the
+# gate runs pinned there (the gate engages only like-for-like); the race
+# replay keeps the machine's procs.
 stream-replay:
 	$(GO) test -race -count=1 -run 'TestStreamReplayByteIdentical' -v ./internal/stream/
-	RAINSHINE_BENCH_STREAM=1 RAINSHINE_BENCH_OUT=$(CURDIR)/BENCH_analysis.json \
+	GOMAXPROCS=1 RAINSHINE_BENCH_STREAM=1 RAINSHINE_BENCH_OUT=$(CURDIR)/BENCH_analysis.json \
 		$(GO) test -run 'TestBenchStreamRefit$$' -count=1 -v .
 
 # Gate-only variant for CI: compares against the committed snapshot
 # without rewriting it.
 stream-replay-check:
 	$(GO) test -race -count=1 -run 'TestStreamReplayByteIdentical' -v ./internal/stream/
-	RAINSHINE_BENCH_STREAM=1 $(GO) test -run 'TestBenchStreamRefit$$' -count=1 -v .
+	GOMAXPROCS=1 RAINSHINE_BENCH_STREAM=1 $(GO) test -run 'TestBenchStreamRefit$$' -count=1 -v .
 
 # Concurrent load test against the serve daemon (32 parallel clients,
 # mixed endpoints, 3 distinct configs) under the race detector; records

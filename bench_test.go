@@ -269,9 +269,9 @@ func newBenchRefitter(b testing.TB) *cart.Refitter {
 // BenchmarkIncrementalRefit20k measures bringing a fitted 20k-row tree
 // current after one streamed day of drifted rows — the live maintainer's
 // steady-state cost. The fitted base state is rebuilt outside the timer
-// each iteration; only the day's Append (merge into presorted orders)
-// plus Refit is measured. Recorded as incremental_refit_20k by
-// `make stream-replay`.
+// each iteration; only the day's Append (a sort into the pending runs)
+// plus Refit (which merges them into the presorted orders) is measured.
+// Recorded as incremental_refit_20k by `make stream-replay`.
 func BenchmarkIncrementalRefit20k(b *testing.B) {
 	base, baseY, day, dayY := refitBenchData()
 	ctx := context.Background()
