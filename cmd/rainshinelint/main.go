@@ -1,36 +1,33 @@
 // Command rainshinelint runs the repository's invariant suite — the
-// nine analyzers in internal/analyzers — in two modes:
+// nine analyzers in internal/analyzers — over the module that contains
+// the working directory:
 //
-//	rainshinelint [-fix] ./...            standalone: loads packages itself
-//	go vet -vettool=rainshinelint ./...   unitchecker protocol
+//	rainshinelint [-fix] [packages]
 //
-// Standalone mode resolves the module by walking up to go.mod and
-// type-checks everything from source (stdlib included), so it needs no
-// network, no module cache, and no pre-built export data. Packages are
-// analyzed in dependency order over one shared fact store, so facts
-// exported while analyzing internal/resilience are visible while
-// analyzing internal/server. The vettool mode speaks cmd/go's JSON
-// .cfg protocol, type-checks against the export data files the go
-// command supplies, and round-trips facts through the .vetx files the
-// go command threads between per-package invocations.
+// Packages are "./...", "all" or "<module>/..." for the whole module,
+// "./<dir>/..." or "<module>/<dir>/..." for every package at or under
+// a directory, and "./<dir>" or an import path for one package; none
+// means "./...". Relative patterns resolve against the module root.
 //
-// -fix (standalone only) applies every suggested fix carried by an
-// unsuppressed diagnostic and rewrites the files in place. Fixable
-// findings do not count against the exit status once applied; a second
-// run finds nothing to fix, which is the idempotence CI checks.
+// The driver walks up to go.mod and type-checks everything from source
+// (stdlib included), so it needs no network, no module cache, and no
+// pre-built export data. Packages are analyzed in dependency order
+// over one shared fact store, so facts exported while analyzing
+// internal/resilience are visible while analyzing internal/server.
 //
-// Exit status: 0 clean, 1 findings or usage error (standalone),
-// 2 findings (vettool protocol, matching x/tools unitchecker).
+// -fix applies every suggested fix carried by an unsuppressed
+// diagnostic and rewrites the files in place. Fixable findings do not
+// count against the exit status once applied; a second run finds
+// nothing to fix, which is the idempotence CI checks.
+//
+// Exit status: 0 clean, 1 findings, a package that fails to load, or a
+// usage error.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,41 +39,33 @@ import (
 	"rainshine/internal/analyzers"
 )
 
+// usage is printed after a command-line error.
+const usage = `usage: rainshinelint [-fix] [packages]
+  e.g. rainshinelint ./...   or   rainshinelint ./internal/stream/...
+rainshinelint loads and type-checks packages itself; run it directly, not through go vet.
+`
+
 func main() {
-	args := os.Args[1:]
-	// go vet handshake: version for build caching, flag discovery.
-	for _, a := range args {
-		switch {
-		case strings.HasPrefix(a, "-V"):
-			fmt.Println("rainshinelint version 2 (invariant suite: benchgate clockinject ctxflow detrand frameclone goleak lockorder nansafe parsafe)")
-			return
-		case a == "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vettool(args[0]))
-	}
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run parses the command line, lints, and returns the exit status.
+// Diagnostics and errors go to stderr.
+func run(args []string, stderr io.Writer) int {
 	fix := false
 	var patterns []string
 	for _, a := range args {
-		if a == "-fix" || a == "--fix" {
+		switch {
+		case a == "-fix" || a == "--fix":
 			fix = true
-			continue
+		case strings.HasPrefix(a, "-"):
+			fmt.Fprintf(stderr, "rainshinelint: unknown flag %s\n%s", a, usage)
+			return 1
+		default:
+			patterns = append(patterns, a)
 		}
-		patterns = append(patterns, a)
 	}
-	os.Exit(standalone(patterns, fix))
-}
-
-// newFactStore builds a store with every suite fact type registered.
-func newFactStore() *analysis.FactStore {
-	facts := analysis.NewFactStore()
-	for _, a := range analyzers.All() {
-		facts.Register(a.FactTypes...)
-	}
-	return facts
+	return lint(patterns, fix, stderr)
 }
 
 // diag is one finding ready for printing.
@@ -102,9 +91,10 @@ type suiteResult struct {
 // findings that survive //lint:allow suppression. Test files take part
 // as syntax-only parses: benchgate audits them, and allow annotations
 // inside them are honored.
-func runSuite(fset *token.FileSet, files, testFiles []*ast.File, dir string, pkg *types.Package, info *types.Info, facts *analysis.FactStore) suiteResult {
-	allFiles := append(append([]*ast.File(nil), files...), testFiles...)
-	allows := analysis.CollectAllows(fset, allFiles)
+func runSuite(p *load.Package, facts *analysis.FactStore) suiteResult {
+	fset := p.Fset
+	testFiles := load.ParseTestFiles(fset, p.Dir)
+	allows := analysis.CollectAllows(fset, append(append([]*ast.File(nil), p.Files...), testFiles...))
 	var res suiteResult
 	for _, pos := range allows.Invalid {
 		res.diags = append(res.diags, diag{fset.Position(pos), "lint", "malformed //lint:allow: need `//lint:allow <analyzer> <reason>`", false})
@@ -113,11 +103,11 @@ func runSuite(fset *token.FileSet, files, testFiles []*ast.File, dir string, pkg
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
+			Files:     p.Files,
+			Pkg:       p.Types,
+			TypesInfo: p.Info,
 			TestFiles: testFiles,
-			Dir:       dir,
+			Dir:       p.Dir,
 			Facts:     facts,
 		}
 		pass.Report = func(d analysis.Diagnostic) {
@@ -154,23 +144,23 @@ func runSuite(fset *token.FileSet, files, testFiles []*ast.File, dir string, pkg
 	return res
 }
 
-// standalone lints the module containing the working directory.
-func standalone(patterns []string, fix bool) int {
+// lint runs the suite over the packages the patterns name.
+func lint(patterns []string, fix bool, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	module, root, err := findModule()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rainshinelint:", err)
+		fmt.Fprintln(stderr, "rainshinelint:", err)
 		return 1
 	}
 	paths, err := expand(module, root, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rainshinelint:", err)
+		fmt.Fprintln(stderr, "rainshinelint:", err)
 		return 1
 	}
 	loader := load.NewLoader(module, root)
-	facts := newFactStore()
+	facts := analysis.NewFactStore()
 	results := map[string]suiteResult{}
 	analyzed := map[string]bool{}
 	loadErrs := 0
@@ -198,12 +188,12 @@ func standalone(patterns []string, fix bool) int {
 				return err
 			}
 		}
-		results[path] = runSuite(p.Fset, p.Files, load.ParseTestFiles(p.Fset, p.Dir), p.Dir, p.Types, p.Info, facts)
+		results[path] = runSuite(p, facts)
 		return nil
 	}
 	for _, path := range paths {
 		if err := visit(path); err != nil {
-			fmt.Fprintf(os.Stderr, "rainshinelint: %v\n", err)
+			fmt.Fprintf(stderr, "rainshinelint: %v\n", err)
 			loadErrs++
 		}
 	}
@@ -215,7 +205,7 @@ func standalone(patterns []string, fix bool) int {
 	if fix && len(fixableAll) > 0 {
 		fixed, err := analysis.ApplyFixes(loader.Fset, fixableAll, os.ReadFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rainshinelint: applying fixes:", err)
+			fmt.Fprintln(stderr, "rainshinelint: applying fixes:", err)
 			return 1
 		}
 		names := make([]string, 0, len(fixed))
@@ -229,10 +219,10 @@ func standalone(patterns []string, fix bool) int {
 				mode = fi.Mode().Perm()
 			}
 			if err := os.WriteFile(name, fixed[name], mode); err != nil {
-				fmt.Fprintln(os.Stderr, "rainshinelint:", err)
+				fmt.Fprintln(stderr, "rainshinelint:", err)
 				return 1
 			}
-			fmt.Fprintf(os.Stderr, "rainshinelint: fixed %s\n", name)
+			fmt.Fprintf(stderr, "rainshinelint: fixed %s\n", name)
 		}
 		for _, d := range fixableAll {
 			fixedPositions[loader.Fset.Position(d.Pos)] = true
@@ -242,10 +232,10 @@ func standalone(patterns []string, fix bool) int {
 	for _, path := range paths {
 		for _, d := range results[path].diags {
 			if fix && d.fixable && fixedPositions[d.pos] {
-				fmt.Fprintf(os.Stderr, "%s (fixed)\n", d)
+				fmt.Fprintf(stderr, "%s (fixed)\n", d)
 				continue
 			}
-			fmt.Fprintln(os.Stderr, d)
+			fmt.Fprintln(stderr, d)
 			bad++
 		}
 	}
@@ -279,10 +269,12 @@ func findModule() (module, root string, err error) {
 	}
 }
 
-// expand resolves package patterns: "./..." (or "all") covers the whole
-// module, other entries are import paths or ./-relative directories.
+// expand resolves package patterns to import paths (see the package
+// doc). A "/..." pattern selects, from load.ModulePackages, every
+// module package at or under its directory, and is an error when it
+// selects none.
 func expand(module, root string, patterns []string) ([]string, error) {
-	var out []string
+	var out, all []string
 	seen := map[string]bool{}
 	add := func(p string) {
 		if !seen[p] {
@@ -291,159 +283,37 @@ func expand(module, root string, patterns []string) ([]string, error) {
 		}
 	}
 	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "all" || pat == module+"/...":
-			all, err := load.ModulePackages(module, root)
-			if err != nil {
+		ip := pat
+		if pat == "all" {
+			ip = module + "/..."
+		} else if rel, ok := strings.CutPrefix(pat, "./"); ok || pat == "." {
+			if rel = filepath.ToSlash(filepath.Clean(rel)); rel == "." {
+				ip = module
+			} else {
+				ip = module + "/" + rel
+			}
+		}
+		dir, tree := strings.CutSuffix(ip, "/...")
+		if !tree {
+			add(ip)
+			continue
+		}
+		if all == nil {
+			var err error
+			if all, err = load.ModulePackages(module, root); err != nil {
 				return nil, err
 			}
-			for _, p := range all {
+		}
+		matched := false
+		for _, p := range all {
+			if p == dir || strings.HasPrefix(p, dir+"/") {
 				add(p)
+				matched = true
 			}
-		case strings.HasPrefix(pat, "./"):
-			rel := filepath.ToSlash(filepath.Clean(strings.TrimPrefix(pat, "./")))
-			if rel == "." {
-				add(module)
-			} else {
-				add(module + "/" + rel)
-			}
-		default:
-			add(pat)
+		}
+		if !matched {
+			return nil, fmt.Errorf("pattern %s matches no package of module %s", pat, module)
 		}
 	}
 	return out, nil
-}
-
-// --- go vet -vettool protocol -----------------------------------------
-
-// vetConfig mirrors the JSON config cmd/go hands a vettool per package.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func vettool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rainshinelint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "rainshinelint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	facts := newFactStore()
-	// Merge the facts of every dependency the go command already
-	// analyzed; unreadable or legacy content is skipped silently.
-	depVetx := make([]string, 0, len(cfg.PackageVetx))
-	for _, vf := range cfg.PackageVetx {
-		depVetx = append(depVetx, vf)
-	}
-	sort.Strings(depVetx)
-	for _, vf := range depVetx {
-		if data, err := os.ReadFile(vf); err == nil {
-			if err := facts.DecodeInto(data); err != nil {
-				fmt.Fprintln(os.Stderr, "rainshinelint:", err)
-				return 1
-			}
-		}
-	}
-	// writeVetx persists this package's facts; the go command caches
-	// and threads the file to dependents.
-	writeVetx := func() int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		data, err := facts.EncodePackage(cfg.ImportPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rainshinelint:", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "rainshinelint:", err)
-			return 1
-		}
-		return 0
-	}
-	if isTestVariant(cfg.ImportPath) {
-		// The invariants are production-only; test variants contribute
-		// no facts but the go command still expects the output file.
-		return writeVetx()
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return writeVetx()
-			}
-			fmt.Fprintln(os.Stderr, "rainshinelint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	conf := types.Config{Importer: imp, Error: func(error) {}}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx()
-		}
-		fmt.Fprintf(os.Stderr, "rainshinelint: typechecking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	res := runSuite(fset, files, load.ParseTestFiles(fset, cfg.Dir), cfg.Dir, pkg, info, facts)
-	if rc := writeVetx(); rc != 0 {
-		return rc
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	found := 0
-	for _, d := range res.diags {
-		fmt.Fprintln(os.Stderr, d)
-		found++
-	}
-	if found > 0 {
-		return 2
-	}
-	return 0
-}
-
-// isTestVariant recognizes the per-package test builds go vet also
-// feeds the tool; the invariants are production-only.
-func isTestVariant(importPath string) bool {
-	return strings.Contains(importPath, " [") ||
-		strings.HasSuffix(importPath, ".test") ||
-		strings.HasSuffix(importPath, "_test")
 }

@@ -4,6 +4,8 @@
 // diagnostics. The repository vendors no external modules, so the suite
 // in internal/analyzers builds on this package instead of x/tools; the
 // API mirrors x/tools closely enough that migrating later is mechanical.
+// One x/tools field is dropped: Analyzer has no FactTypes, since facts
+// never leave the driver's process and so need no type registry.
 package analysis
 
 import (
@@ -23,10 +25,6 @@ type Analyzer struct {
 	Doc string
 	// Run executes the analyzer over one package.
 	Run func(*Pass) error
-	// FactTypes declares prototype values of every Fact kind the
-	// analyzer exports or imports, so the driver can register them for
-	// cross-process serialization.
-	FactTypes []Fact
 }
 
 // Pass carries one package's syntax and type information to an
@@ -36,7 +34,8 @@ type Pass struct {
 	Fset     *token.FileSet
 	// Files holds the package's parsed source files (tests excluded:
 	// the invariants guard production code, and test fixtures violate
-	// them on purpose).
+	// them on purpose). Analyzers rely on this and do not filter test
+	// files themselves.
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
@@ -108,15 +107,6 @@ func FuncFor(file *ast.File, pos token.Pos) ast.Node {
 		return true
 	})
 	return enclosing
-}
-
-// IsTestFile reports whether the file containing pos is a _test.go
-// file. Drivers that feed test files through the suite (the vettool
-// protocol does) use it to keep the invariants production-only.
-func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
-	name := fset.Position(pos).Filename
-	const suffix = "_test.go"
-	return len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix
 }
 
 // ObjectOf resolves the called function object for a call expression,

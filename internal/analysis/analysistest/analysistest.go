@@ -59,7 +59,6 @@ func run(t *testing.T, dir string, a *analysis.Analyzer, checkFixes bool, pkgs .
 	loader := load.NewLoader("analysistest.invalid", dir)
 	loader.FixtureRoot = filepath.Join(dir, "src")
 	facts := analysis.NewFactStore()
-	facts.Register(a.FactTypes...)
 	for _, pkg := range pkgs {
 		p, err := loader.Load(pkg)
 		if err != nil {

@@ -1,40 +1,32 @@
 // Facts: cross-function, cross-package propagation of properties an
 // analyzer proves about package-level objects ("spawns a goroutine",
 // "blocks on a channel", "reads the wall clock"). The design mirrors
-// golang.org/x/tools/go/analysis facts, shrunk to what a stdlib-only
-// driver can carry:
+// golang.org/x/tools/go/analysis facts, shrunk to one in-process store:
 //
-//   - a Fact is a JSON-serializable struct naming its kind;
+//   - a Fact is any value naming its kind; facts never leave the
+//     process, so fact types need not be serializable;
 //   - facts attach to package-level functions and methods, keyed by
 //     (package path, [Receiver.]Name) rather than by object identity,
-//     so they survive serialization across processes;
+//     so a method called through an instantiated generic type (a
+//     distinct types.Func) finds the fact its declaration exported;
 //   - the driver analyzes packages in dependency order and hands every
 //     pass one shared FactStore, so a fact exported while analyzing
-//     internal/resilience is importable while analyzing internal/server;
-//   - under the go vet -vettool protocol the store round-trips through
-//     the .vetx files cmd/go threads between per-package invocations.
+//     internal/resilience is importable while analyzing internal/server.
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/types"
-	"reflect"
-	"sort"
-)
+import "go/types"
 
-// Fact is one exportable property of a package-level object. Concrete
-// fact types must be JSON-marshalable structs; FactKind names the type
-// stably across processes and must be unique within the suite.
+// Fact is one exportable property of a package-level object. FactKind
+// names the fact's type and must be unique within the suite.
 type Fact interface {
 	FactKind() string
 }
 
-// ObjRef names a package-level object portably: functions by name,
-// methods as "Receiver.Name". It is the serialization key for facts.
+// ObjRef names a package-level object by path: functions by name,
+// methods as "Receiver.Name". It is the key facts are stored under.
 type ObjRef struct {
-	Pkg  string `json:"pkg"`
-	Name string `json:"name"`
+	Pkg  string
+	Name string
 }
 
 // RefOf derives the portable reference for obj, reporting false for
@@ -64,29 +56,12 @@ func RefOf(obj types.Object) (ObjRef, bool) {
 // packages and analyzers. It is not safe for concurrent use; the driver
 // is single-threaded by design (deterministic diagnostics).
 type FactStore struct {
-	objs  map[ObjRef]map[string]Fact
-	kinds map[string]reflect.Type
+	objs map[ObjRef]map[string]Fact
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{
-		objs:  map[ObjRef]map[string]Fact{},
-		kinds: map[string]reflect.Type{},
-	}
-}
-
-// Register teaches the store the concrete types behind fact kinds so
-// serialized facts can be decoded. Analyzers declare prototypes in
-// Analyzer.FactTypes; the driver registers them before any pass runs.
-func (s *FactStore) Register(prototypes ...Fact) {
-	for _, p := range prototypes {
-		t := reflect.TypeOf(p)
-		for t.Kind() == reflect.Pointer {
-			t = t.Elem()
-		}
-		s.kinds[p.FactKind()] = t
-	}
+	return &FactStore{objs: map[ObjRef]map[string]Fact{}}
 }
 
 // ExportObject records fact f about ref, overwriting a same-kind fact.
@@ -105,84 +80,8 @@ func (s *FactStore) Object(ref ObjRef, kind string) (Fact, bool) {
 	return f, ok
 }
 
-// serialFact is the on-disk form of one (object, fact) pair.
-type serialFact struct {
-	Ref  ObjRef          `json:"ref"`
-	Kind string          `json:"kind"`
-	Fact json.RawMessage `json:"fact"`
-}
-
-// serialDoc wraps the fact list with a magic field so a reader can
-// distinguish it from unrelated vetx content.
-type serialDoc struct {
-	Magic string       `json:"rainshinelint_facts"`
-	Facts []serialFact `json:"facts"`
-}
-
-const factMagic = "v1"
-
-// EncodePackage serializes every fact attached to objects of pkgPath,
-// deterministically ordered, for the package's .vetx file. Keys are
-// collected and sorted before anything is marshaled, so the output is
-// a pure function of the store's contents.
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	var refs []ObjRef
-	for ref := range s.objs {
-		if ref.Pkg == pkgPath {
-			refs = append(refs, ref)
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Name < refs[j].Name })
-	doc := serialDoc{Magic: factMagic}
-	for _, ref := range refs {
-		var kinds []string
-		for kind := range s.objs[ref] {
-			kinds = append(kinds, kind)
-		}
-		sort.Strings(kinds)
-		for _, kind := range kinds {
-			raw, err := json.Marshal(s.objs[ref][kind])
-			if err != nil {
-				return nil, fmt.Errorf("encoding fact %s of %s.%s: %w", kind, ref.Pkg, ref.Name, err)
-			}
-			doc.Facts = append(doc.Facts, serialFact{Ref: ref, Kind: kind, Fact: raw})
-		}
-	}
-	return json.Marshal(doc)
-}
-
-// DecodeInto merges a serialized fact document into the store. Content
-// that is not a fact document (older vetx placeholders, other tools') is
-// ignored without error; facts of unregistered kinds are skipped.
-func (s *FactStore) DecodeInto(data []byte) error {
-	var doc serialDoc
-	if err := json.Unmarshal(data, &doc); err != nil || doc.Magic != factMagic {
-		return nil
-	}
-	for _, sf := range doc.Facts {
-		t, ok := s.kinds[sf.Kind]
-		if !ok {
-			continue
-		}
-		v := reflect.New(t)
-		if err := json.Unmarshal(sf.Fact, v.Interface()); err != nil {
-			return fmt.Errorf("decoding fact %s of %s.%s: %w", sf.Kind, sf.Ref.Pkg, sf.Ref.Name, err)
-		}
-		f, ok := v.Interface().(Fact)
-		if !ok {
-			// Fact types are declared as values; try the element.
-			f, ok = v.Elem().Interface().(Fact)
-		}
-		if ok {
-			s.ExportObject(sf.Ref, f)
-		}
-	}
-	return nil
-}
-
-// ExportObjectFact records fact f about obj for later passes (same run
-// or, through the vetx round-trip, later processes). Objects that have
-// no portable reference are ignored.
+// ExportObjectFact records fact f about obj for later passes of the
+// same run. Objects that RefOf cannot name are ignored.
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 	if p.Facts == nil {
 		return

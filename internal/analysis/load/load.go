@@ -43,10 +43,6 @@ type Loader struct {
 	// FixtureRoot, when set, is an analysistest testdata/src directory
 	// consulted before the module and the standard library.
 	FixtureRoot string
-	// IncludeTests adds *_test.go files of the target package (used by
-	// analysistest fixtures only; the repo driver analyzes production
-	// files).
-	IncludeTests bool
 
 	Fset *token.FileSet
 
@@ -115,18 +111,15 @@ func (l *Loader) resolveDir(importPath string) (string, bool) {
 	return "", false
 }
 
-// goFiles lists the buildable .go files for dir, honoring build
-// constraints via go/build. Test files are excluded unless the loader
-// includes them.
+// goFiles lists the buildable non-test .go files for dir, honoring
+// build constraints via go/build. Test files are never type-checked;
+// ParseTestFiles reads them syntax-only.
 func (l *Loader) goFiles(dir string) ([]string, error) {
 	bp, err := l.ctx.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
 	names := append([]string(nil), bp.GoFiles...)
-	if l.IncludeTests {
-		names = append(names, bp.TestGoFiles...)
-	}
 	sort.Strings(names)
 	files := make([]string, len(names))
 	for i, n := range names {

@@ -34,10 +34,9 @@ import (
 
 // Analyzer is the clockinject pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "clockinject",
-	Doc:       "enforce the injected-clock pattern: no wall-clock or timer calls where a now func is available or required",
-	Run:       run,
-	FactTypes: []analysis.Fact{&WallClock{}},
+	Name: "clockinject",
+	Doc:  "enforce the injected-clock pattern: no wall-clock or timer calls where a now func is available or required",
+	Run:  run,
 }
 
 // WallClock marks a function that reads the wall clock or creates a
@@ -80,9 +79,6 @@ func isTimeCall(fn *types.Func) bool {
 func run(pass *analysis.Pass) error {
 	exportWallClockFacts(pass)
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		checkFile(pass, file)
 	}
 	return nil
@@ -221,9 +217,6 @@ func exportWallClockFacts(pass *analysis.Pass) {
 	calls := map[*types.Func][]*types.Func{}
 	var order []*types.Func
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

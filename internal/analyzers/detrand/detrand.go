@@ -52,9 +52,6 @@ var allowedWallClock = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		checkRandImports(pass, file)
 		checkWallClock(pass, file)
 		checkMapOrder(pass, file)

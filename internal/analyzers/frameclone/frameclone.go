@@ -79,9 +79,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !fd.Name.IsExported() {

@@ -30,10 +30,9 @@ import (
 
 // Analyzer is the goleak pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "goleak",
-	Doc:       "require every spawned goroutine to be joined (WaitGroup, channel) or bounded by a cancellable context",
-	Run:       run,
-	FactTypes: []analysis.Fact{&CtxIgnored{}},
+	Name: "goleak",
+	Doc:  "require every spawned goroutine to be joined (WaitGroup, channel) or bounded by a cancellable context",
+	Run:  run,
 }
 
 // CtxIgnored marks a function that takes a context.Context parameter
@@ -48,15 +47,9 @@ func run(pass *analysis.Pass) error {
 	// Fact export first, so same-package spawns see their callees'
 	// facts in the same pass.
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		exportCtxFacts(pass, file)
 	}
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		checkSpawns(pass, file)
 	}
 	return nil

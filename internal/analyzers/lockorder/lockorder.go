@@ -33,10 +33,9 @@ import (
 
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "lockorder",
-	Doc:       "forbid blocking calls under a held mutex and lock-order inversions",
-	Run:       run,
-	FactTypes: []analysis.Fact{&Blocks{}, &Locks{}},
+	Name: "lockorder",
+	Doc:  "forbid blocking calls under a held mutex and lock-order inversions",
+	Run:  run,
 }
 
 // Blocks marks a function that may block: it performs a channel
@@ -49,7 +48,7 @@ func (*Blocks) FactKind() string { return "lockorder.blocks" }
 // Locks lists the lock sites ("pkg.Type.field") a function may
 // acquire, directly or through its callees.
 type Locks struct {
-	Sites []string `json:"sites"`
+	Sites []string
 }
 
 // FactKind implements analysis.Fact.
@@ -84,9 +83,6 @@ type funcInfo struct {
 func run(pass *analysis.Pass) error {
 	var infos []*funcInfo
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				infos = append(infos, collect(pass, fd))

@@ -36,9 +36,6 @@ var entryPoints = map[string]bool{"ForEach": true, "ForEachWorker": true, "Map":
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -53,12 +53,16 @@ type ChaosConfig struct {
 	// immediately (same sequence number; the maintainer must quarantine
 	// the copy as DuplicateEvent).
 	StreamDuplicateRate float64
-	// StreamLateRate defers a record by StreamLateDays observation
+	// StreamLateRate defers a record by streamLateDays observation
 	// days — past the watermark, so the maintainer quarantines it as
-	// LateArrival. StreamLateDays zero means 3.
+	// LateArrival.
 	StreamLateRate float64
-	StreamLateDays int
 }
+
+// streamLateDays is how many observation days StreamLate defers a
+// record: enough to land past the watermark at the stream maintainer's
+// default lateness of one day.
+const streamLateDays = 3
 
 // DefaultChaos is the fault mix behind the serve daemon's -chaos flag:
 // every class enabled at rates that keep the daemon mostly available
@@ -172,11 +176,7 @@ func (c *Chaos) StreamLate(pos int) (days int, ok bool) {
 	if c.src.Split("stream:late").SplitIndex("rec", pos).Float64() >= c.cfg.StreamLateRate {
 		return 0, false
 	}
-	days = c.cfg.StreamLateDays
-	if days == 0 {
-		days = 3
-	}
-	return days, true
+	return streamLateDays, true
 }
 
 // SlowClient decides whether request seq drains its response slowly,

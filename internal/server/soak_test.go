@@ -202,9 +202,7 @@ func TestChaosSoakStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := stream.Replay(context.Background(), rd, stream.Config{
-		Sim: study.simConfig(1), DisableRefit: true,
-	})
+	want, err := stream.Replay(context.Background(), rd, stream.Config{Sim: study.simConfig(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +302,8 @@ func TestChaosSoakStream(t *testing.T) {
 	if snap.Stream.RecordsIn != wantStats.RecordsIn {
 		t.Fatalf("records in = %d, offline replay saw %d", snap.Stream.RecordsIn, wantStats.RecordsIn)
 	}
-	if snap.Stream.Refits == 0 {
-		t.Fatal("live refitter never ran under stream chaos")
+	if snap.Stream.Refits == 0 || snap.Stream.Refits != wantStats.Refits {
+		t.Fatalf("live refits = %d, offline replay ran %d (want equal and nonzero)", snap.Stream.Refits, wantStats.Refits)
 	}
 }
 

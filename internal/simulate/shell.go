@@ -36,14 +36,10 @@ func Shell(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simulate: building empty climate: %w", err)
 	}
-	params := failure.DefaultParams()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
 	demand, err := workload.New(root.Split("workload"), cfg.Days)
 	if err != nil {
 		return nil, fmt.Errorf("simulate: building demand model: %w", err)
 	}
-	hz := failure.NewWithDemand(fleet, params, demand)
+	hz := failure.NewWithDemand(fleet, failure.DefaultParams(), demand)
 	return &Result{Cfg: cfg, Fleet: fleet, Climate: clim, Hazard: hz, Days: cfg.Days}, nil
 }

@@ -36,8 +36,6 @@ type Config struct {
 	Days int
 	// Topology overrides fleet construction (testing hook).
 	Topology topology.Config
-	// Params overrides the hazard model; nil means failure.DefaultParams.
-	Params *failure.Params
 	// FalsePositiveRate is the fraction of extra no-fault-found tickets
 	// injected. Negative means 0; zero means the 0.05 default.
 	FalsePositiveRate float64
@@ -170,15 +168,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	params := failure.DefaultParams()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
 	demand, err := workload.New(root.Split("workload"), cfg.Days)
 	if err != nil {
 		return nil, fmt.Errorf("simulate: building demand model: %w", err)
 	}
-	hz := failure.NewWithDemand(fleet, params, demand)
+	hz := failure.NewWithDemand(fleet, failure.DefaultParams(), demand)
 
 	res := &Result{Cfg: cfg, Fleet: fleet, Climate: clim, Hazard: hz, Days: cfg.Days}
 

@@ -45,7 +45,7 @@ func logBytes(t *testing.T, recs []stream.Record) []byte {
 func replayRecords(t *testing.T, cfg simulate.Config, recs []stream.Record) *stream.Maintainer {
 	t.Helper()
 	ctx := context.Background()
-	m, err := stream.NewMaintainer(stream.Config{Sim: cfg, DisableRefit: true})
+	m, err := stream.NewMaintainer(stream.Config{Sim: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

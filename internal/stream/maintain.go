@@ -29,9 +29,6 @@ type Config struct {
 	// admissions until a record for day >= d+1+Lateness arrives. Zero
 	// means 1; negative means 0 (strictly ordered streams).
 	Lateness int
-	// DisableRefit turns the live CART maintainer off (the final study
-	// is unaffected; only mid-stream LiveTree queries go away).
-	DisableRefit bool
 }
 
 // refitEvery is the day-close cadence of live refits: a weekly model
@@ -131,10 +128,7 @@ type Maintainer struct {
 	quality ingest.Report // live stream-level accounting
 	lastDC  DayClose
 
-	refitter   *cart.Refitter
-	refitRows  [][]float64
-	refitY     []float64
-	lastClosed int // last day index handed to the refitter + 1
+	refitter *cart.Refitter
 }
 
 // NewMaintainer builds the study substrate for cfg.Sim and an empty
@@ -160,12 +154,10 @@ func NewMaintainer(cfg Config) (*Maintainer, error) {
 		maxDay:  -1,
 	}
 	m.stats.MaxDaySeen = -1
-	if !cfg.DisableRefit {
-		m.refitter, err = cart.NewRefitter("disk_failures", liveFeatures(), nil,
-			cart.RefitConfig{Config: cart.Config{Workers: cfg.Sim.Workers}})
-		if err != nil {
-			return nil, err
-		}
+	m.refitter, err = cart.NewRefitter("disk_failures", liveFeatures(), nil,
+		cart.RefitConfig{Config: cart.Config{Workers: cfg.Sim.Workers}})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -212,14 +204,11 @@ func (m *Maintainer) Watermark() int { return m.closed }
 func (m *Maintainer) Sealed() bool { return m.sealed }
 
 // LiveTree returns the incremental model over closed days (nil before
-// the first refit or when refits are disabled). The live tree is a
-// deterministic function of the record sequence, but it is an
-// approximation for mid-stream queries: the final study's trees come
-// from the canonical batch path at Finalize.
+// the first refit). The live tree is a deterministic function of the
+// record sequence, but it is an approximation for mid-stream queries:
+// the final study's trees come from the canonical batch path at
+// Finalize.
 func (m *Maintainer) LiveTree() *cart.Tree {
-	if m.refitter == nil {
-		return nil
-	}
 	return m.refitter.Tree()
 }
 
@@ -361,20 +350,16 @@ func (m *Maintainer) commitDay(ctx context.Context, d int) error {
 	m.closed = d + 1
 	m.lastDC = dc
 
-	if m.refitter != nil {
-		if err := m.appendLiveRows(d, dc.Events); err != nil {
+	if err := m.appendLiveRows(d, dc.Events); err != nil {
+		return err
+	}
+	if (m.closed%refitEvery == 0 || m.closed == m.days) && m.refitter.Rows() > 0 {
+		rep, err := m.refitter.Refit(ctx)
+		if err != nil {
 			return err
 		}
-		if m.closed%refitEvery == 0 || m.closed == m.days {
-			if m.refitter.Rows() > 0 {
-				rep, err := m.refitter.Refit(ctx)
-				if err != nil {
-					return err
-				}
-				m.stats.Refits++
-				m.stats.LastRefit = rep.Outcome.String()
-			}
-		}
+		m.stats.Refits++
+		m.stats.LastRefit = rep.Outcome.String()
 	}
 	return nil
 }

@@ -117,8 +117,7 @@ func smallMaintainer(t *testing.T, lateness int) *stream.Maintainer {
 			Topology: topology.Config{RacksPerDC: [2]int{4, 3}},
 			Workers:  1,
 		},
-		Lateness:     lateness,
-		DisableRefit: true,
+		Lateness: lateness,
 	})
 	if err != nil {
 		t.Fatal(err)
