@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"rainshine/internal/failure"
 	"rainshine/internal/ticket"
@@ -47,32 +49,129 @@ func ValidateTicket(t *ticket.Ticket, b TicketBounds) error {
 // skew knocked out of time order. The input slice is not modified; the
 // returned slice preserves the survivors' original stream order. When
 // repair is false the stream is audited — every defect is counted but
-// the input is returned unchanged.
+// the input is returned unchanged, and no ticket is copied.
+//
+// The pass is linear: duplicates are found through a dedupTable keyed
+// by a hash of the ticket content, and the repeat check sorts the
+// hardware survivors once (see repairRepeats).
 func ScrubTickets(ts []ticket.Ticket, b TicketBounds, rep *Report, repair bool) []ticket.Ticket {
 	rep.TicketsIn += len(ts)
-	kept := make([]ticket.Ticket, 0, len(ts))
-	seen := make(map[ticket.Ticket]bool, len(ts))
-	for _, t := range ts {
-		if err := ValidateTicket(&t, b); err != nil {
+	var kept []ticket.Ticket
+	if repair {
+		kept = make([]ticket.Ticket, 0, len(ts))
+	}
+	seen := newDedupTable(len(ts))
+	var hw []repeatKey
+	survivors := 0
+	for i := range ts {
+		t := &ts[i]
+		if err := ValidateTicket(t, b); err != nil {
 			rep.Quarantined[classOfTicketErr(err)]++
 			continue
 		}
-		// Dedup on content: identical in every field but the ID.
-		key := t
-		key.ID = 0
-		if seen[key] {
+		if !seen.insert(ts, i) {
 			rep.Quarantined[DuplicateTicket]++
 			continue
 		}
-		seen[key] = true
-		kept = append(kept, t)
+		if t.Repeat != 0 { // non-hardware tickets carry no counter
+			hw = append(hw, repeatKey{t.Rack, t.Component, t.Device, t.Day, t.Hour, t.ID, survivors, t.Repeat})
+		}
+		if repair {
+			kept = append(kept, *t)
+		}
+		survivors++
 	}
-	repairRepeats(kept, rep)
-	rep.TicketsKept += len(kept)
+	repairRepeats(hw, kept, rep)
+	rep.TicketsKept += survivors
 	if !repair {
 		return ts
 	}
 	return kept
+}
+
+// dedupTable is an open-addressing set of ticket indices with linear
+// probing, keyed on content: every field but the ID. Slots keep the
+// hash next to the index, so fields are compared only when the hashes
+// agree. It replaces a Go map keyed on whole 88-byte tickets, whose
+// hashing and equality dominated the audit.
+type dedupTable struct {
+	slots []dedupSlot
+	mask  uint64
+}
+
+// dedupSlot holds a member's content hash and its index + 1 (0 marks an
+// empty slot). Indices stay int: an external stream has no size bound.
+type dedupSlot struct {
+	hash uint64
+	idx  int
+}
+
+// newDedupTable sizes the table to a power of two at least twice n, so
+// the load factor stays at or below one half.
+func newDedupTable(n int) *dedupTable {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	return &dedupTable{slots: make([]dedupSlot, size), mask: uint64(size - 1)}
+}
+
+// insert adds ts[i] unless a ticket with the same content is already a
+// member, and reports whether it was added. The first occurrence in
+// stream order is therefore the one that survives.
+func (d *dedupTable) insert(ts []ticket.Ticket, i int) bool {
+	t := &ts[i]
+	h := contentHash(t)
+	for s := h & d.mask; ; s = (s + 1) & d.mask {
+		slot := &d.slots[s]
+		if slot.idx == 0 {
+			*slot = dedupSlot{h, i + 1}
+			return true
+		}
+		if slot.hash == h && sameContent(&ts[slot.idx-1], t) {
+			return false
+		}
+	}
+}
+
+// contentHash hashes every ticket field but the ID. Float fields are
+// hashed as x+0, which folds −0 onto +0: sameContent compares them with
+// ==, under which the two zeros are equal, so they must hash alike. NaN
+// needs no case, since ValidateTicket rejects NaN hours and repair times
+// before dedup.
+func contentHash(t *ticket.Ticket) uint64 {
+	h := uint64(t.Day)
+	for _, v := range [...]uint64{
+		math.Float64bits(t.Hour + 0), uint64(t.DC), uint64(t.Rack), uint64(t.Fault),
+		boolBit(t.FalsePositive), math.Float64bits(t.RepairHours + 0),
+		uint64(t.Component), uint64(t.Device), uint64(t.Repeat),
+	} {
+		h = bits.RotateLeft64((h^v)*0x9e3779b97f4a7c15, 29)
+	}
+	// Final avalanche (MurmurHash3's fmix64), so linear probing sees
+	// well-spread low bits.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sameContent is ticket equality ignoring the ID, field by field with
+// Go's == (so −0 equals +0).
+func sameContent(a, b *ticket.Ticket) bool {
+	return a.Day == b.Day && a.Hour == b.Hour && a.DC == b.DC && a.Rack == b.Rack &&
+		a.Fault == b.Fault && a.FalsePositive == b.FalsePositive &&
+		a.RepairHours == b.RepairHours && a.Component == b.Component &&
+		a.Device == b.Device && a.Repeat == b.Repeat
 }
 
 // classOfTicketErr maps a per-ticket sentinel back to its class.
@@ -89,40 +188,69 @@ func classOfTicketErr(err error) Class {
 	}
 }
 
+// repeatKey is one hardware survivor in the repeat check: its device
+// group, its time-order key, its position among the survivors, and the
+// counter it carries.
+type repeatKey struct {
+	rack   int
+	comp   failure.Component
+	device int
+	day    int
+	hour   float64
+	id     int
+	pos    int
+	repeat int
+}
+
 // repairRepeats restores the RMA re-open counters: within one device's
 // ticket group, Repeat must count occurrences in time order. Clock skew
 // moves a ticket in time without touching its counter, so an inversion
 // (an earlier timestamp carrying a later counter) marks a skewed record.
 // Counters are reassigned in time order; clean streams are untouched.
-func repairRepeats(ts []ticket.Ticket, rep *Report) {
-	type deviceKey struct {
-		rack   int
-		comp   failure.Component
-		device int
-	}
-	groups := map[deviceKey][]int{}
-	for i := range ts {
-		if ts[i].Repeat == 0 {
-			continue // non-hardware tickets carry no counter
+//
+// hw holds the hardware survivors (Repeat != 0). One sort by (rack,
+// component, device, day, hour, ID, survivor position) lays every group
+// out in time order, ties broken by stream position. Every inversion is
+// counted; when kept is non-nil (repair mode) the counters are also
+// rewritten there, at the keys' survivor positions.
+func repairRepeats(hw []repeatKey, kept []ticket.Ticket, rep *Report) {
+	slices.SortFunc(hw, func(a, b repeatKey) int {
+		if c := cmp.Compare(a.rack, b.rack); c != 0 {
+			return c
 		}
-		k := deviceKey{ts[i].Rack, ts[i].Component, ts[i].Device}
-		groups[k] = append(groups[k], i)
-	}
-	for _, idxs := range groups {
-		sort.SliceStable(idxs, func(a, b int) bool {
-			ta, tb := &ts[idxs[a]], &ts[idxs[b]]
-			if ta.Day != tb.Day {
-				return ta.Day < tb.Day
+		if c := cmp.Compare(a.comp, b.comp); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.device, b.device); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.day, b.day); c != 0 {
+			return c
+		}
+		// Hours are never NaN here (ValidateTicket), and the two zeros
+		// compare equal, as they do under <.
+		if c := cmp.Compare(a.hour, b.hour); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	occ := 0
+	for i := range hw {
+		k := &hw[i]
+		if i > 0 {
+			p := &hw[i-1]
+			if k.rack != p.rack || k.comp != p.comp || k.device != p.device {
+				occ = 0
 			}
-			if ta.Hour != tb.Hour {
-				return ta.Hour < tb.Hour
-			}
-			return ta.ID < tb.ID
-		})
-		for occ, i := range idxs {
-			if ts[i].Repeat != occ+1 {
-				rep.Repaired[RepeatInversion]++
-				ts[i].Repeat = occ + 1
+		}
+		occ++
+		if k.repeat != occ {
+			rep.Repaired[RepeatInversion]++
+			if kept != nil {
+				kept[k.pos].Repeat = occ
 			}
 		}
 	}
