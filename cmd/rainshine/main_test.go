@@ -365,3 +365,16 @@ func TestAllRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestLongWindowAll runs every analysis over a window longer than three
+// calendar years. Studies of up to 3,660 days are accepted, and the
+// rack-day frame's year column once rejected the fourth calendar year,
+// so `all` stopped at Figure 2 past day 1,096.
+func TestLongWindowAll(t *testing.T) {
+	out := runStdout(t, "-days", "1200", "-racks", "30,30", "all")
+	for _, want := range []string{"== Figure 2 ==", "== Figure 18 ==", "Q3:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("all over 1200 days missing %q", want)
+		}
+	}
+}

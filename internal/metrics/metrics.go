@@ -13,6 +13,7 @@
 package metrics
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -20,6 +21,7 @@ import (
 	"rainshine/internal/calendar"
 	"rainshine/internal/failure"
 	"rainshine/internal/frame"
+	"rainshine/internal/parallel"
 	"rainshine/internal/simulate"
 	"rainshine/internal/stats"
 	"rainshine/internal/topology"
@@ -262,7 +264,23 @@ func MTTR(res *simulate.Result) map[failure.Component]stats.Summary {
 // RackDayFrame materializes the rack-day analysis table: one row per
 // (rack, observed day) carrying every Table III factor plus the λ
 // targets (total, disk, memory, server failure counts on that day).
+// It is RackDayFrameContext without cancellation.
 func RackDayFrame(res *simulate.Result) (*frame.Frame, error) {
+	return RackDayFrameContext(context.Background(), res)
+}
+
+// dayFields are one day's calendar factors, as level codes.
+type dayFields struct{ dow, week, month, year uint8 }
+
+// RackDayFrameContext is RackDayFrame under a context. Rows are
+// rack-major: each rack owns one contiguous block of rows, from its
+// first observed day to the window end, and the racks fill their blocks
+// in parallel over res.Cfg.Workers. No row depends on another rack's,
+// so the frame is byte-identical for every worker count. The calendar
+// factors are computed once per day, and the coded columns are written
+// straight into their uint8 level codes, so every level table below
+// covers its codes by construction.
+func RackDayFrameContext(ctx context.Context, res *simulate.Result) (*frame.Frame, error) {
 	racks := res.Fleet.Racks
 	days := res.Days
 
@@ -281,91 +299,118 @@ func RackDayFrame(res *simulate.Result) (*frame.Frame, error) {
 		}
 	}
 
-	// Count observed rows.
-	rows := 0
+	// Rack ri's rows are [start[ri], start[ri+1]), one per observed day.
+	start := make([]int, len(racks)+1)
 	for ri := range racks {
-		from := racks[ri].CommissionDay
-		if from < 0 {
-			from = 0
-		}
-		if from < days {
-			rows += days - from
+		start[ri+1] = start[ri] + days - firstObservedDay(&racks[ri], days)
+	}
+	rows := start[len(racks)]
+
+	// One year level per calendar year the window touches, never fewer
+	// than the three of the paper's 930-day window.
+	years := 3
+	if days > 0 {
+		years = max(years, calendar.YearIndex(days-1)+1)
+	}
+	if years > frame.MaxTypedLevels {
+		return nil, fmt.Errorf("metrics: a %d-day window spans %d calendar years, more than a year column's %d levels",
+			days, years, frame.MaxTypedLevels)
+	}
+	yearLevels := make([]string, years)
+	for y := range yearLevels {
+		yearLevels[y] = fmt.Sprintf("Y%d", y)
+	}
+	cal := make([]dayFields, days)
+	for d := range cal {
+		cal[d] = dayFields{
+			dow:   uint8(calendar.Weekday(d)),
+			week:  uint8(calendar.WeekOfYear(d)),
+			month: uint8(calendar.Month(d)),
+			year:  uint8(calendar.YearIndex(d)),
 		}
 	}
+	dcLevels := make([]string, len(res.Fleet.DCs))
+	for i, dc := range res.Fleet.DCs {
+		dcLevels[i] = dc.Name
+	}
+	regionLevels, regionIndex := regionLevelTable(res.Fleet)
 
 	var (
-		temp     = make([]float64, 0, rows)
-		rh       = make([]float64, 0, rows)
-		age      = make([]float64, 0, rows)
-		power    = make([]float64, 0, rows)
-		dc       = make([]int, 0, rows)
-		region   = make([]int, 0, rows)
-		sku      = make([]int, 0, rows)
-		workload = make([]int, 0, rows)
-		dow      = make([]int, 0, rows)
-		week     = make([]int, 0, rows)
-		month    = make([]int, 0, rows)
-		year     = make([]int, 0, rows)
-		cyear    = make([]int, 0, rows)
-		dayIdx   = make([]float64, 0, rows)
-		rackID   = make([]float64, 0, rows)
-		fAll     = make([]float64, 0, rows)
-		fDisk    = make([]float64, 0, rows)
-		fMem     = make([]float64, 0, rows)
-		fSrv     = make([]float64, 0, rows)
+		temp     = make([]float64, rows)
+		rh       = make([]float64, rows)
+		age      = make([]float64, rows)
+		power    = make([]float64, rows)
+		dc       = make([]uint8, rows)
+		region   = make([]uint8, rows)
+		sku      = make([]uint8, rows)
+		workload = make([]uint8, rows)
+		dow      = make([]uint8, rows)
+		week     = make([]uint8, rows)
+		month    = make([]uint8, rows)
+		year     = make([]uint8, rows)
+		cyear    = make([]uint8, rows)
+		dayIdx   = make([]float64, rows)
+		rackID   = make([]float64, rows)
+		fAll     = make([]float64, rows)
+		fDisk    = make([]float64, rows)
+		fMem     = make([]float64, rows)
+		fSrv     = make([]float64, rows)
 	)
-	regionLevels, regionIndex := regionLevelTable(res.Fleet)
-	for ri := range racks {
+	err := parallel.ForEach(ctx, res.Cfg.Workers, len(racks), func(ri int) error {
 		rack := &racks[ri]
-		from := rack.CommissionDay
-		if from < 0 {
-			from = 0
-		}
-		for d := from; d < days; d++ {
+		from := firstObservedDay(rack, days)
+		// The rack's static factors, one code each for the whole block.
+		rDC, rRegion := uint8(rack.DC), uint8(regionIndex[rack.DC][rack.Region])
+		rSKU, rWorkload := uint8(rack.SKU), uint8(rack.Workload)
+		rCYear := uint8(commissionYearIndex(rack.CommissionDay))
+		for d, r := from, start[ri]; d < days; d, r = d+1, r+1 {
 			cond, err := res.Climate.At(ri, d)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c := counts[ri*days+d]
-			temp = append(temp, cond.TempF)
-			rh = append(rh, cond.RH)
-			age = append(age, rack.AgeMonths(d))
-			power = append(power, rack.PowerKW)
-			dc = append(dc, rack.DC)
-			region = append(region, regionIndex[rack.DC][rack.Region])
-			sku = append(sku, int(rack.SKU))
-			workload = append(workload, int(rack.Workload))
-			dow = append(dow, calendar.Weekday(d))
-			week = append(week, calendar.WeekOfYear(d))
-			month = append(month, calendar.Month(d))
-			year = append(year, calendar.YearIndex(d))
-			cyear = append(cyear, commissionYearIndex(rack.CommissionDay))
-			dayIdx = append(dayIdx, float64(d))
-			rackID = append(rackID, float64(ri))
-			fAll = append(fAll, float64(c.disk+c.mem+c.srv))
-			fDisk = append(fDisk, float64(c.disk))
-			fMem = append(fMem, float64(c.mem))
-			fSrv = append(fSrv, float64(c.srv))
+			cd := cal[d]
+			temp[r] = cond.TempF
+			rh[r] = cond.RH
+			age[r] = rack.AgeMonths(d)
+			power[r] = rack.PowerKW
+			dc[r] = rDC
+			region[r] = rRegion
+			sku[r] = rSKU
+			workload[r] = rWorkload
+			dow[r] = cd.dow
+			week[r] = cd.week
+			month[r] = cd.month
+			year[r] = cd.year
+			cyear[r] = rCYear
+			dayIdx[r] = float64(d)
+			rackID[r] = float64(ri)
+			fAll[r] = float64(c.disk + c.mem + c.srv)
+			fDisk[r] = float64(c.disk)
+			fMem[r] = float64(c.mem)
+			fSrv[r] = float64(c.srv)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	f := frame.New(len(temp))
-	dcLevels := []string{"DC1", "DC2"}
-	yearLevels := []string{"Y0", "Y1", "Y2"}
+	f := frame.New(rows)
 	steps := []func() error{
 		func() error { return f.AddContinuous("temp", temp) },
 		func() error { return f.AddContinuous("rh", rh) },
 		func() error { return f.AddContinuous("age_months", age) },
 		func() error { return f.AddContinuous("power_kw", power) },
-		func() error { return f.AddNominalInts("dc", dc, dcLevels) },
-		func() error { return f.AddNominalInts("region", region, regionLevels) },
-		func() error { return f.AddNominalInts("sku", sku, topology.SKUNames()) },
-		func() error { return f.AddNominalInts("workload", workload, topology.WorkloadNames()) },
-		func() error { return f.AddOrdinalInts("dow", dow, calendar.WeekdayNames) },
-		func() error { return f.AddOrdinalInts("week", week, calendar.WeekNames()) },
-		func() error { return f.AddOrdinalInts("month", month, calendar.MonthNames) },
-		func() error { return f.AddOrdinalInts("year", year, yearLevels) },
-		func() error { return f.AddNominalInts("commission_year", cyear, commissionYearLevels()) },
+		func() error { return f.AddNominalCodes("dc", dc, dcLevels) },
+		func() error { return f.AddNominalCodes("region", region, regionLevels) },
+		func() error { return f.AddNominalCodes("sku", sku, topology.SKUNames()) },
+		func() error { return f.AddNominalCodes("workload", workload, topology.WorkloadNames()) },
+		func() error { return f.AddOrdinalCodes("dow", dow, calendar.WeekdayNames) },
+		func() error { return f.AddOrdinalCodes("week", week, calendar.WeekNames()) },
+		func() error { return f.AddOrdinalCodes("month", month, calendar.MonthNames) },
+		func() error { return f.AddOrdinalCodes("year", year, yearLevels) },
+		func() error { return f.AddNominalCodes("commission_year", cyear, commissionYearLevels()) },
 		func() error { return f.AddContinuous("day", dayIdx) },
 		func() error { return f.AddContinuous("rack_id", rackID) },
 		func() error { return f.AddContinuous("failures", fAll) },
@@ -379,6 +424,12 @@ func RackDayFrame(res *simulate.Result) (*frame.Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// firstObservedDay is the first day a rack contributes a row: its
+// commission day, clamped to the window [0, days].
+func firstObservedDay(r *topology.Rack, days int) int {
+	return min(max(r.CommissionDay, 0), days)
 }
 
 // commissionYearIndex buckets a commission day (offset from window

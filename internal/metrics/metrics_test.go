@@ -3,6 +3,7 @@ package metrics
 import (
 	"testing"
 
+	"rainshine/internal/calendar"
 	"rainshine/internal/failure"
 	"rainshine/internal/simulate"
 	"rainshine/internal/topology"
@@ -318,6 +319,48 @@ func TestCommissionYearIndexBounds(t *testing.T) {
 	for _, c := range cases {
 		if got := commissionYearIndex(c.day); got != c.want {
 			t.Errorf("commissionYearIndex(%d) = %d, want %d", c.day, got, c.want)
+		}
+	}
+}
+
+// TestRackDayFrameCodesCovered checks that every coded column's level
+// table covers its codes, for windows up to the 3,660 days a study may
+// span. The codes are written without a range check, so a code past
+// its table would read as a missing cell: the year column once stopped
+// at Y2 and so failed every study longer than 1,096 days (the first day
+// of its fourth calendar year).
+func TestRackDayFrameCodesCovered(t *testing.T) {
+	for _, days := range []int{1, 365, 930, 1096, 1097, 3660} {
+		res, err := simulate.Run(simulate.Config{
+			Seed:            3,
+			Days:            days,
+			Topology:        topology.Config{RacksPerDC: [2]int{6, 5}},
+			SkipNonHardware: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := RackDayFrame(res)
+		if err != nil {
+			t.Fatalf("%d days: %v", days, err)
+		}
+		coded := 0
+		for i := 0; i < f.NumCols(); i++ {
+			c := f.ColAt(i)
+			if c.Levels == nil {
+				continue
+			}
+			coded++
+			if n := c.MissingCount(); n != 0 {
+				t.Errorf("%d days: column %q has %d codes outside its %d levels", days, c.Name, n, len(c.Levels))
+			}
+		}
+		if coded != 9 {
+			t.Errorf("%d days: %d coded columns, want 9", days, coded)
+		}
+		wantYears := max(3, calendar.YearIndex(days-1)+1)
+		if got := len(f.MustCol("year").Levels); got != wantYears {
+			t.Errorf("%d days: %d year levels, want %d", days, got, wantYears)
 		}
 	}
 }

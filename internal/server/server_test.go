@@ -604,3 +604,16 @@ func TestMemoWithoutWarmup(t *testing.T) {
 		t.Error("published study recomputed hourly μ instead of reading its memo")
 	}
 }
+
+// TestLongWindowQ2 answers a Q2 over a 1,200-day window: any window the
+// query parser accepts (up to 3,660 days) must build its rack-day frame,
+// whose year column once stopped at the third calendar year.
+func TestLongWindowQ2(t *testing.T) {
+	leakcheck.Check(t)
+	srv := New(Config{Logf: t.Logf})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/q2?days=1200&racks=30,30", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/q2?days=1200&racks=30,30 = %d %s", rec.Code, rec.Body.String())
+	}
+}
