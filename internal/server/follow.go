@@ -117,15 +117,16 @@ func (f *follower) publish(st stream.Stats, dc stream.DayClose, err error, wake 
 	}
 	f.mu.Unlock()
 	f.metrics.SetStream(StreamCounters{
-		Following:  true,
-		RecordsIn:  st.RecordsIn,
-		Watermark:  st.Watermark,
-		MaxDaySeen: st.MaxDaySeen,
-		Lag:        st.Lag,
-		Late:       st.Late,
-		Duplicates: st.Duplicates,
-		Sealed:     st.Sealed,
-		Refits:     st.Refits,
+		Following:     true,
+		RecordsIn:     st.RecordsIn,
+		Watermark:     st.Watermark,
+		MaxDaySeen:    st.MaxDaySeen,
+		Lag:           st.Lag,
+		Late:          st.Late,
+		Duplicates:    st.Duplicates,
+		Sealed:        st.Sealed,
+		Refits:        st.Refits,
+		RefitOutcomes: st.RefitOutcomes,
 	})
 }
 

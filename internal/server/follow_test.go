@@ -93,8 +93,10 @@ func TestFollowStreamToSeal(t *testing.T) {
 
 	deadline := time.After(30 * time.Second)
 	watermark := -1
+	var final streamStatus
 	for {
 		body, resp := getStreamStatus(t, ts.URL+"/v1/stream")
+		final = body
 		if h := resp.Header.Get("X-Rainshine-Watermark"); h == "" {
 			t.Fatal("missing X-Rainshine-Watermark header")
 		}
@@ -142,6 +144,15 @@ func TestFollowStreamToSeal(t *testing.T) {
 	}
 	if snap.Stream.Refits == 0 {
 		t.Fatalf("live refitter never ran: %+v", snap.Stream)
+	}
+	// Every refit is counted by its outcome, in /metricz and in the
+	// sealed /v1/stream body alike.
+	oc := snap.Stream.RefitOutcomes
+	if oc.Initial+oc.Stats+oc.Subtrees+oc.Full != snap.Stream.Refits || oc.Initial != 1 {
+		t.Fatalf("refit outcomes %+v do not split %d refits", oc, snap.Stream.Refits)
+	}
+	if final.RefitOutcomes != oc || final.Refits != snap.Stream.Refits {
+		t.Fatalf("/v1/stream refits %d %+v, /metricz %d %+v", final.Refits, final.RefitOutcomes, snap.Stream.Refits, oc)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"rainshine/internal/resilience"
 	"rainshine/internal/stats"
+	"rainshine/internal/stream"
 )
 
 // latencyWindow bounds the per-endpoint latency reservoir; quantiles
@@ -156,6 +157,8 @@ type StreamCounters struct {
 	Duplicates int64 `json:"duplicates"`
 	Sealed     bool  `json:"sealed"`
 	Refits     int64 `json:"refits"`
+	// RefitOutcomes splits Refits by outcome.
+	RefitOutcomes stream.RefitCounts `json:"refit_outcomes"`
 }
 
 // ResilienceCounters summarizes admission control, degradation, and

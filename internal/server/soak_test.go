@@ -305,6 +305,9 @@ func TestChaosSoakStream(t *testing.T) {
 	if snap.Stream.Refits == 0 || snap.Stream.Refits != wantStats.Refits {
 		t.Fatalf("live refits = %d, offline replay ran %d (want equal and nonzero)", snap.Stream.Refits, wantStats.Refits)
 	}
+	if snap.Stream.RefitOutcomes != wantStats.RefitOutcomes {
+		t.Fatalf("live refit outcomes %+v, offline replay %+v", snap.Stream.RefitOutcomes, wantStats.RefitOutcomes)
+	}
 }
 
 // TestChaosSoakOverload is the concurrent chaos soak: hundreds of

@@ -151,3 +151,60 @@ func TestLiveModelGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestRefitOutcomeCounts replays the seed-1028 log record by record,
+// the seal included, and reads the per-outcome refit counts: they match
+// TestLiveModelGolden's tally of the same replay and sum to Refits. The
+// seal runs two refits in one Apply, so a per-Apply tally of LastRefit
+// sees one outcome fewer than the counts do.
+func TestRefitOutcomeCounts(t *testing.T) {
+	ctx := context.Background()
+	cfg := simulate.Config{
+		Seed:     1028,
+		Days:     365,
+		Topology: topology.Config{RacksPerDC: [2]int{90, 70}},
+		Workers:  2,
+	}
+	res, err := simulate.RunContext(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteStudyLog(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintainer(Config{Sim: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refits, lastRefitTally int64
+	for !m.Sealed() {
+		rec, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Apply(ctx, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Stats(); st.Refits != refits {
+			refits = st.Refits
+			lastRefitTally++
+		}
+	}
+	st := m.Stats()
+	want := RefitCounts{Initial: 1, Stats: 33, Subtrees: 1, Full: 18}
+	if st.RefitOutcomes != want {
+		t.Errorf("refit outcomes %+v, want %+v", st.RefitOutcomes, want)
+	}
+	oc := st.RefitOutcomes
+	if sum := oc.Initial + oc.Stats + oc.Subtrees + oc.Full; sum != st.Refits || st.Refits != 53 {
+		t.Errorf("refit outcomes sum to %d, Refits = %d, want both 53", sum, st.Refits)
+	}
+	if lastRefitTally != 52 {
+		t.Errorf("per-Apply LastRefit tally = %d, want 52 (one Apply runs two refits)", lastRefitTally)
+	}
+}

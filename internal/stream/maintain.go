@@ -79,9 +79,35 @@ type Stats struct {
 	Sealed bool `json:"sealed"`
 	// Refits counts live model refits; LastRefit names the last
 	// outcome ("initial", "stats", "subtrees", "full", or "" before
-	// the first).
-	Refits    int64  `json:"refits"`
-	LastRefit string `json:"last_refit,omitempty"`
+	// the first). One Apply can run more than one refit (the seal
+	// closes every open day), so LastRefit alone can miss outcomes;
+	// RefitOutcomes counts every refit by its outcome and sums to
+	// Refits.
+	Refits        int64       `json:"refits"`
+	LastRefit     string      `json:"last_refit,omitempty"`
+	RefitOutcomes RefitCounts `json:"refit_outcomes"`
+}
+
+// RefitCounts tallies live model refits by outcome.
+type RefitCounts struct {
+	Initial  int64 `json:"initial"`
+	Stats    int64 `json:"stats"`
+	Subtrees int64 `json:"subtrees"`
+	Full     int64 `json:"full"`
+}
+
+// add counts one refit that ended in o.
+func (c *RefitCounts) add(o cart.RefitOutcome) {
+	switch o {
+	case cart.RefitInitial:
+		c.Initial++
+	case cart.RefitStats:
+		c.Stats++
+	case cart.RefitSubtrees:
+		c.Subtrees++
+	case cart.RefitFull:
+		c.Full++
+	}
 }
 
 type seqEvent struct {
@@ -360,6 +386,7 @@ func (m *Maintainer) commitDay(ctx context.Context, d int) error {
 		}
 		m.stats.Refits++
 		m.stats.LastRefit = rep.Outcome.String()
+		m.stats.RefitOutcomes.add(rep.Outcome)
 	}
 	return nil
 }
