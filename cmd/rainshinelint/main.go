@@ -4,10 +4,14 @@
 //
 //	rainshinelint [-fix] [packages]
 //
-// Packages are "./...", "all" or "<module>/..." for the whole module,
+// Packages are "all" or "<module>/..." for the whole module,
 // "./<dir>/..." or "<module>/<dir>/..." for every package at or under
 // a directory, and "./<dir>" or an import path for one package; none
-// means "./...". Relative patterns resolve against the module root.
+// means "./...". Relative patterns ("./", "../", "." and "..") resolve
+// against the working directory, as the go command's do, and must stay
+// inside the module: "./..." run from internal/stream lints
+// internal/stream and the packages under it, and from the module root
+// the whole module.
 //
 // The driver walks up to go.mod and type-checks everything from source
 // (stdlib included), so it needs no network, no module cache, and no
@@ -30,6 +34,7 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -149,12 +154,17 @@ func lint(patterns []string, fix bool, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	module, root, err := findModule()
+	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, "rainshinelint:", err)
 		return 1
 	}
-	paths, err := expand(module, root, patterns)
+	module, root, err := findModule(cwd)
+	if err != nil {
+		fmt.Fprintln(stderr, "rainshinelint:", err)
+		return 1
+	}
+	paths, err := expand(module, root, cwd, patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "rainshinelint:", err)
 		return 1
@@ -245,12 +255,8 @@ func lint(patterns []string, fix bool, stderr io.Writer) int {
 	return 0
 }
 
-// findModule walks up from the working directory to go.mod.
-func findModule() (module, root string, err error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
+// findModule walks up from dir to go.mod.
+func findModule(dir string) (module, root string, err error) {
 	for {
 		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 		if err == nil {
@@ -270,10 +276,11 @@ func findModule() (module, root string, err error) {
 }
 
 // expand resolves package patterns to import paths (see the package
-// doc). A "/..." pattern selects, from load.ModulePackages, every
-// module package at or under its directory, and is an error when it
-// selects none.
-func expand(module, root string, patterns []string) ([]string, error) {
+// doc). Relative patterns resolve against cwd, as the go command's do.
+// A "/..." pattern selects, from load.ModulePackages, every module
+// package at or under its directory, and is an error when it selects
+// none.
+func expand(module, root, cwd string, patterns []string) ([]string, error) {
 	var out, all []string
 	seen := map[string]bool{}
 	add := func(p string) {
@@ -286,11 +293,15 @@ func expand(module, root string, patterns []string) ([]string, error) {
 		ip := pat
 		if pat == "all" {
 			ip = module + "/..."
-		} else if rel, ok := strings.CutPrefix(pat, "./"); ok || pat == "." {
-			if rel = filepath.ToSlash(filepath.Clean(rel)); rel == "." {
-				ip = module
-			} else {
-				ip = module + "/" + rel
+		} else if isRelative(pat) {
+			dir, tree := strings.CutSuffix(pat, "/...")
+			rel, err := filepath.Rel(root, filepath.Join(cwd, filepath.FromSlash(dir)))
+			if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+				return nil, fmt.Errorf("pattern %s names a directory outside module %s", pat, module)
+			}
+			ip = path.Join(module, filepath.ToSlash(rel))
+			if tree {
+				ip += "/..."
 			}
 		}
 		dir, tree := strings.CutSuffix(ip, "/...")
@@ -316,4 +327,11 @@ func expand(module, root string, patterns []string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// isRelative reports whether a pattern is a file-system path relative
+// to the working directory: ".", "..", or one starting with "./" or
+// "../".
+func isRelative(pat string) bool {
+	return pat == "." || pat == ".." || strings.HasPrefix(pat, "./") || strings.HasPrefix(pat, "../")
 }

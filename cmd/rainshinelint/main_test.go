@@ -193,3 +193,50 @@ func Run(ctx context.Context) {
 		t.Errorf("goleak did not see z's CtxIgnored fact from package a:\n%s", out)
 	}
 }
+
+// TestStandaloneRelativePatternsFollowWorkingDir: relative patterns
+// resolve against the working directory, as the go command's do. From
+// svc, "./..." lints svc and svc/inner but not other, "../other/..."
+// reaches the sibling, "." is svc alone, and a pattern that climbs out
+// of the module is an error.
+func TestStandaloneRelativePatternsFollowWorkingDir(t *testing.T) {
+	const wallClock = "package %s\n\nimport \"time\"\n\nfunc Stamp() time.Time { return time.Now() }\n"
+	dir := writeModule(t, map[string]string{
+		"go.mod":         "module scratch\n\ngo 1.24\n",
+		"svc/ok.go":      "package svc\n\nfunc Add(a, b int) int { return a + b }\n",
+		"svc/inner/c.go": fmt.Sprintf(wallClock, "inner"),
+		"other/c.go":     fmt.Sprintf(wallClock, "other"),
+	})
+	t.Chdir(filepath.Join(dir, "svc"))
+	for _, c := range []struct {
+		pat          string
+		code         int
+		inner, other bool
+	}{
+		{"./...", 1, true, false},
+		{"./inner", 1, true, false},
+		{"../other/...", 1, false, true},
+	} {
+		var stderr strings.Builder
+		if code := run([]string{c.pat}, &stderr); code != c.code {
+			t.Fatalf("rainshinelint %s from svc = %d, want %d\n%s", c.pat, code, c.code, stderr.String())
+		}
+		out := stderr.String()
+		if got := strings.Contains(out, filepath.Join("svc", "inner", "c.go")); got != c.inner {
+			t.Errorf("rainshinelint %s from svc: finding under svc/inner reported = %v, want %v\n%s", c.pat, got, c.inner, out)
+		}
+		if got := strings.Contains(out, filepath.Join("other", "c.go")); got != c.other {
+			t.Errorf("rainshinelint %s from svc: finding under other reported = %v, want %v\n%s", c.pat, got, c.other, out)
+		}
+	}
+	if code := run([]string{"."}, io.Discard); code != 0 {
+		t.Errorf("rainshinelint . from svc = %d, want 0 (svc itself is clean)", code)
+	}
+	if code := run(nil, io.Discard); code != 1 {
+		t.Errorf("rainshinelint with no patterns from svc = %d, want 1 (./... covers svc/inner)", code)
+	}
+	var stderr strings.Builder
+	if code := run([]string{"../../..."}, &stderr); code != 1 || !strings.Contains(stderr.String(), "outside module") {
+		t.Errorf("rainshinelint ../../... = %d, want 1 with \"outside module\":\n%s", code, stderr.String())
+	}
+}
