@@ -30,6 +30,7 @@ import (
 	"rainshine/internal/failure"
 	"rainshine/internal/figures"
 	"rainshine/internal/frame"
+	"rainshine/internal/ingest"
 	"rainshine/internal/metrics"
 	"rainshine/internal/predict"
 	"rainshine/internal/provision"
@@ -337,6 +338,18 @@ func BenchmarkRackDayFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := metrics.RackDayFrame(s.Figures().Res)
+		benchErr(b, err)
+	}
+}
+
+// BenchmarkAudit measures the non-mutating data-quality audit of the
+// shared study: ticket validation, dedup and the repeat-counter check,
+// then the sensor gap scan.
+func BenchmarkAudit(b *testing.B) {
+	s := benchData(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := ingest.Audit(s.Figures().Res)
 		benchErr(b, err)
 	}
 }
