@@ -1,10 +1,9 @@
 package ingest
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
-	"slices"
+	"sort"
 
 	"rainshine/internal/failure"
 	"rainshine/internal/ticket"
@@ -61,7 +60,14 @@ func ScrubTickets(ts []ticket.Ticket, b TicketBounds, rep *Report, repair bool) 
 		kept = make([]ticket.Ticket, 0, len(ts))
 	}
 	seen := newDedupTable(len(ts))
-	var hw []repeatKey
+	// Size the repeat keys once, for every ticket carrying a counter.
+	hardware := 0
+	for i := range ts {
+		if ts[i].Repeat != 0 {
+			hardware++
+		}
+	}
+	hw := make([]repeatKey, 0, hardware)
 	survivors := 0
 	for i := range ts {
 		t := &ts[i]
@@ -90,30 +96,25 @@ func ScrubTickets(ts []ticket.Ticket, b TicketBounds, rep *Report, repair bool) 
 }
 
 // dedupTable is an open-addressing set of ticket indices with linear
-// probing, keyed on content: every field but the ID. Slots keep the
-// hash next to the index, so fields are compared only when the hashes
+// probing, keyed on content: every field but the ID. Each member's hash
+// sits in a side array, so fields are compared only when the hashes
 // agree. It replaces a Go map keyed on whole 88-byte tickets, whose
-// hashing and equality dominated the audit.
+// hashing and equality dominated the audit. Indices stay int: an
+// external stream has no size bound.
 type dedupTable struct {
-	slots []dedupSlot
-	mask  uint64
+	slots  []int    // member ticket index + 1; 0 marks an empty slot
+	hashes []uint64 // content hash of each member, by ticket index
+	mask   uint64
 }
 
-// dedupSlot holds a member's content hash and its index + 1 (0 marks an
-// empty slot). Indices stay int: an external stream has no size bound.
-type dedupSlot struct {
-	hash uint64
-	idx  int
-}
-
-// newDedupTable sizes the table to a power of two at least twice n, so
-// the load factor stays at or below one half.
+// newDedupTable sizes the table for n tickets: a power of two at least
+// twice n, so the load factor stays at or below one half.
 func newDedupTable(n int) *dedupTable {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	return &dedupTable{slots: make([]dedupSlot, size), mask: uint64(size - 1)}
+	return &dedupTable{slots: make([]int, size), hashes: make([]uint64, n), mask: uint64(size - 1)}
 }
 
 // insert adds ts[i] unless a ticket with the same content is already a
@@ -123,12 +124,13 @@ func (d *dedupTable) insert(ts []ticket.Ticket, i int) bool {
 	t := &ts[i]
 	h := contentHash(t)
 	for s := h & d.mask; ; s = (s + 1) & d.mask {
-		slot := &d.slots[s]
-		if slot.idx == 0 {
-			*slot = dedupSlot{h, i + 1}
+		j := d.slots[s] - 1
+		if j < 0 {
+			d.slots[s] = i + 1
+			d.hashes[i] = h
 			return true
 		}
-		if slot.hash == h && sameContent(&ts[slot.idx-1], t) {
+		if d.hashes[j] == h && sameContent(&ts[j], t) {
 			return false
 		}
 	}
@@ -214,29 +216,7 @@ type repeatKey struct {
 // counted; when kept is non-nil (repair mode) the counters are also
 // rewritten there, at the keys' survivor positions.
 func repairRepeats(hw []repeatKey, kept []ticket.Ticket, rep *Report) {
-	slices.SortFunc(hw, func(a, b repeatKey) int {
-		if c := cmp.Compare(a.rack, b.rack); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.comp, b.comp); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.device, b.device); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.day, b.day); c != 0 {
-			return c
-		}
-		// Hours are never NaN here (ValidateTicket), and the two zeros
-		// compare equal, as they do under <.
-		if c := cmp.Compare(a.hour, b.hour); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.id, b.id); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	sort.Sort(byDeviceTime(hw))
 	occ := 0
 	for i := range hw {
 		k := &hw[i]
@@ -254,4 +234,31 @@ func repairRepeats(hw []repeatKey, kept []ticket.Ticket, rep *Report) {
 			}
 		}
 	}
+}
+
+// byDeviceTime orders repeat keys by (rack, component, device, day,
+// hour, ID, survivor position); positions are unique, so the order is
+// total and needs no stable sort. Less reads the keys in place.
+type byDeviceTime []repeatKey
+
+func (s byDeviceTime) Len() int      { return len(s) }
+func (s byDeviceTime) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byDeviceTime) Less(i, j int) bool {
+	a, b := &s[i], &s[j]
+	switch {
+	case a.rack != b.rack:
+		return a.rack < b.rack
+	case a.comp != b.comp:
+		return a.comp < b.comp
+	case a.device != b.device:
+		return a.device < b.device
+	case a.day != b.day:
+		return a.day < b.day
+	case a.hour != b.hour:
+		// Never NaN here (ValidateTicket); the two zeros are equal.
+		return a.hour < b.hour
+	case a.id != b.id:
+		return a.id < b.id
+	}
+	return a.pos < b.pos
 }
