@@ -50,9 +50,9 @@ func ValidateTicket(t *ticket.Ticket, b TicketBounds) error {
 // repair is false the stream is audited — every defect is counted but
 // the input is returned unchanged, and no ticket is copied.
 //
-// The pass is linear: duplicates are found through a dedupTable keyed
-// by a hash of the ticket content, and the repeat check sorts the
-// hardware survivors once (see repairRepeats).
+// One pass finds duplicates through a dedupTable keyed by a hash of the
+// ticket content, and the repeat check sorts the hardware survivors
+// once (see repairRepeats).
 func ScrubTickets(ts []ticket.Ticket, b TicketBounds, rep *Report, repair bool) []ticket.Ticket {
 	rep.TicketsIn += len(ts)
 	var kept []ticket.Ticket
@@ -98,9 +98,9 @@ func ScrubTickets(ts []ticket.Ticket, b TicketBounds, rep *Report, repair bool) 
 // dedupTable is an open-addressing set of ticket indices with linear
 // probing, keyed on content: every field but the ID. Each member's hash
 // sits in a side array, so fields are compared only when the hashes
-// agree. It replaces a Go map keyed on whole 88-byte tickets, whose
-// hashing and equality dominated the audit. Indices stay int: an
-// external stream has no size bound.
+// agree: hashing and comparing whole 88-byte tickets as map keys would
+// dominate the audit. Indices stay int: an external stream has no size
+// bound.
 type dedupTable struct {
 	slots  []int    // member ticket index + 1; 0 marks an empty slot
 	hashes []uint64 // content hash of each member, by ticket index
