@@ -278,8 +278,8 @@ type dayFields struct{ dow, week, month, year uint8 }
 // in parallel over res.Cfg.Workers. No row depends on another rack's,
 // so the frame is byte-identical for every worker count. The calendar
 // factors are computed once per day, and the coded columns are written
-// straight into their uint8 level codes, so every level table below
-// covers its codes by construction.
+// straight into their uint8 level codes, which the frame adopts without
+// a range check: each level table is built to cover its codes.
 func RackDayFrameContext(ctx context.Context, res *simulate.Result) (*frame.Frame, error) {
 	racks := res.Fleet.Racks
 	days := res.Days

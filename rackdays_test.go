@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 	"testing"
 
@@ -17,18 +16,18 @@ import (
 // columns and as float64 bit patterns otherwise.
 func frameDigest(f *frame.Frame) string {
 	h := sha256.New()
-	str := func(h hash.Hash, s string) {
+	str := func(s string) {
 		binary.Write(h, binary.LittleEndian, uint64(len(s)))
 		h.Write([]byte(s))
 	}
 	binary.Write(h, binary.LittleEndian, uint64(f.NumRows()))
 	for i := 0; i < f.NumCols(); i++ {
 		c := f.ColAt(i)
-		str(h, c.Name)
+		str(c.Name)
 		binary.Write(h, binary.LittleEndian, uint64(c.Kind))
 		binary.Write(h, binary.LittleEndian, uint64(len(c.Levels)))
 		for _, l := range c.Levels {
-			str(h, l)
+			str(l)
 		}
 		if codes := c.Codes(); codes != nil {
 			h.Write([]byte{'u'})
