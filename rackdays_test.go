@@ -48,8 +48,8 @@ func frameDigest(f *frame.Frame) string {
 // column's name, kind, level table and cells, for the reduced clean
 // study (`rainshine -small`), the reduced dirty study (`-small
 // -faults`) and the paper-scale study. The digests were recorded with
-// the serial row-append builder; the frame must come out the same for
-// any worker count.
+// the earlier serial version that appended rows one at a time; the
+// frame must come out the same for any worker count.
 func TestRackDayFrameDigest(t *testing.T) {
 	clean, dirty := dirtyPair(t)
 	cases := []struct {
