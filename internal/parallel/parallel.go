@@ -16,7 +16,11 @@
 //
 // Errors are deterministic too: when several tasks fail, the error of
 // the lowest index is returned, matching what a serial loop that stops
-// at the first failure would have surfaced.
+// at the first failure would have surfaced. A panicking task counts as
+// a failure at its index: the workers recover it, and once the pool has
+// drained the panic is raised again on the calling goroutine, where the
+// caller's recover can see it (a panic on a pool goroutine would end the
+// process).
 package parallel
 
 import (
@@ -38,7 +42,8 @@ func Workers(n int) int {
 
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
 // (workers < 1 means GOMAXPROCS). It blocks until every started task
-// finished, then returns the lowest-index error, if any. Tasks must
+// finished, then returns the lowest-index error, if any, or re-raises
+// the panic of the lowest-index task if that task panicked. Tasks must
 // communicate only through index-addressed state for the deterministic
 // equality of serial and parallel runs to hold.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
@@ -88,17 +93,37 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(w, i int) error)
 					errs[i] = err
 					continue
 				}
-				errs[i] = fn(w, i)
+				errs[i] = run(fn, w, i)
 			}
 		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			if p, ok := err.(*taskPanic); ok {
+				panic(p.value)
+			}
 			return err
 		}
 	}
 	return nil
+}
+
+// taskPanic carries a task's recovered panic through its error slot to
+// the calling goroutine, which raises it again.
+type taskPanic struct{ value any }
+
+func (p *taskPanic) Error() string { return "parallel: task panicked" }
+
+// run calls fn(w, i) and returns its error; a panic is recovered and
+// returned as a *taskPanic.
+func run(fn func(w, i int) error, w, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &taskPanic{p}
+		}
+	}()
+	return fn(w, i)
 }
 
 // Map runs fn over [0, n) and returns the results in index order — the

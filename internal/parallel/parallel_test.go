@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"rainshine/internal/leakcheck"
 )
 
 func TestWorkers(t *testing.T) {
@@ -61,6 +63,52 @@ func TestForEachLowestIndexError(t *testing.T) {
 		if err == nil || err.Error() != "task 7 failed" {
 			t.Errorf("workers=%d: err = %v, want lowest-index failure", workers, err)
 		}
+	}
+}
+
+// TestForEachPanicReachesCaller checks that a panicking task's value
+// reaches the caller's recover at any worker count (the lowest-index one
+// when several tasks panic), that an error at a lower index wins as it
+// would in a serial loop, and that no pool goroutine outlives the call.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			leakcheck.Check(t)
+			recovered := func(fn func(i int) error) (p any) {
+				defer func() { p = recover() }()
+				if err := ForEach(context.Background(), workers, 40, fn); err != nil {
+					t.Errorf("err = %v, want a panic", err)
+				}
+				return nil
+			}
+			got := recovered(func(i int) error {
+				switch i {
+				case 9:
+					panic(boom)
+				case 31:
+					panic("task 31")
+				case 20:
+					return errors.New("task 20 failed")
+				}
+				return nil
+			})
+			if got != boom {
+				t.Errorf("recovered %v, want the lowest-index panic value %v", got, boom)
+			}
+			err := ForEach(context.Background(), workers, 40, func(i int) error {
+				switch i {
+				case 3:
+					return errors.New("task 3 failed")
+				case 9:
+					panic(boom)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "task 3 failed" {
+				t.Errorf("err = %v, want the lower-index error", err)
+			}
+		})
 	}
 }
 
