@@ -180,6 +180,9 @@ func NewWithDemand(fleet *topology.Fleet, p Params, demand DemandModel) *Model {
 
 // CommonMultiplier composes the factor effects shared by all components
 // for one rack on one day: spatial, temporal, workload, SKU, power, age.
+// It depends only on (rack, day), so a caller evaluates it once per
+// rack-day and hands the value to DeviceHazard or RackHazard for each
+// component.
 func (m *Model) CommonMultiplier(rack *topology.Rack, day int) float64 {
 	p := &m.P
 	mult := p.DCRegion[rack.DC][rack.Region]
@@ -268,8 +271,9 @@ func (m *Model) EnvMultiplier(c Component, cond climate.Conditions) float64 {
 }
 
 // DeviceHazard returns the per-device-day failure probability intensity
-// for component c in the rack on the day.
-func (m *Model) DeviceHazard(c Component, rack *topology.Rack, day int, cond climate.Conditions) float64 {
+// for component c on a rack-day whose CommonMultiplier is common and
+// whose conditions are cond: base × common × environment.
+func (m *Model) DeviceHazard(c Component, common float64, cond climate.Conditions) float64 {
 	base := 0.0
 	switch c {
 	case Disk:
@@ -279,12 +283,13 @@ func (m *Model) DeviceHazard(c Component, rack *topology.Rack, day int, cond cli
 	case ServerOther:
 		base = m.P.ServerBase
 	}
-	return base * m.CommonMultiplier(rack, day) * m.EnvMultiplier(c, cond)
+	return base * common * m.EnvMultiplier(c, cond)
 }
 
 // RackHazard returns the expected failure count for component c across
-// the whole rack on the day (per-device hazard times device count).
-func (m *Model) RackHazard(c Component, rack *topology.Rack, day int, cond climate.Conditions) float64 {
+// the whole rack on a rack-day whose CommonMultiplier is common
+// (per-device hazard times device count).
+func (m *Model) RackHazard(c Component, rack *topology.Rack, common float64, cond climate.Conditions) float64 {
 	n := 0
 	switch c {
 	case Disk:
@@ -294,7 +299,7 @@ func (m *Model) RackHazard(c Component, rack *topology.Rack, day int, cond clima
 	case ServerOther:
 		n = rack.Servers
 	}
-	return float64(n) * m.DeviceHazard(c, rack, day, cond)
+	return float64(n) * m.DeviceHazard(c, common, cond)
 }
 
 // ShockProbability returns the per-day probability that the rack suffers

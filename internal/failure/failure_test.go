@@ -145,20 +145,21 @@ func TestDeviceAndRackHazard(t *testing.T) {
 	m := testModel(t)
 	rack := &m.Fleet.Racks[0]
 	day := 100
+	common := m.CommonMultiplier(rack, day)
 	for c := Disk; c < NumComponents; c++ {
-		dh := m.DeviceHazard(c, rack, day, mild())
+		dh := m.DeviceHazard(c, common, mild())
 		if dh <= 0 || dh > 0.01 {
 			t.Errorf("%v device hazard = %v out of sane range", c, dh)
 		}
 	}
 	// Rack hazard = device hazard x device count.
-	dh := m.DeviceHazard(Disk, rack, day, mild())
-	rh := m.RackHazard(Disk, rack, day, mild())
+	dh := m.DeviceHazard(Disk, common, mild())
+	rh := m.RackHazard(Disk, rack, common, mild())
 	if want := dh * float64(rack.Disks()); rh != want {
 		t.Errorf("rack hazard %v != %v", rh, want)
 	}
-	rhS := m.RackHazard(ServerOther, rack, day, mild())
-	if want := m.DeviceHazard(ServerOther, rack, day, mild()) * float64(rack.Servers); rhS != want {
+	rhS := m.RackHazard(ServerOther, rack, common, mild())
+	if want := m.DeviceHazard(ServerOther, common, mild()) * float64(rack.Servers); rhS != want {
 		t.Errorf("server rack hazard %v != %v", rhS, want)
 	}
 }
@@ -166,7 +167,7 @@ func TestDeviceAndRackHazard(t *testing.T) {
 func TestPreCommissionNoHazard(t *testing.T) {
 	m := testModel(t)
 	rack := topology.Rack{DC: 0, Region: 0, SKU: topology.S1, Workload: topology.W6, PowerKW: 8, CommissionDay: 500, Servers: 20, DisksPerServer: 12, DIMMsPerServer: 8}
-	if h := m.DeviceHazard(Disk, &rack, 100, mild()); h != 0 {
+	if h := m.DeviceHazard(Disk, m.CommonMultiplier(&rack, 100), mild()); h != 0 {
 		t.Errorf("pre-commission hazard = %v, want 0", h)
 	}
 	if p := m.ShockProbability(&rack, 100); p != 0 {

@@ -264,8 +264,9 @@ func simulateRack(res *Result, rack *topology.Rack, src *rng.Source) ([]Event, e
 		if err != nil {
 			return nil, err
 		}
+		common := hz.CommonMultiplier(rack, day)
 		for c := failure.Disk; c < failure.NumComponents; c++ {
-			lambda := hz.RackHazard(c, rack, day, cond)
+			lambda := hz.RackHazard(c, rack, common, cond)
 			n := dist.Poisson{Lambda: lambda}.SampleInt(src)
 			for k := 0; k < n; k++ {
 				emit(Event{
