@@ -17,10 +17,12 @@
 package climate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"rainshine/internal/calendar"
+	"rainshine/internal/parallel"
 	"rainshine/internal/rng"
 	"rainshine/internal/topology"
 )
@@ -48,8 +50,16 @@ type Model struct {
 }
 
 // New builds the climate series for every rack over days observation
-// days. Deterministic given the source.
+// days, serially. Deterministic given the source.
 func New(src *rng.Source, fleet *topology.Fleet, days int) (*Model, error) {
+	return NewContext(context.Background(), src, fleet, days, 1)
+}
+
+// NewContext is New with the rack series filled in parallel over
+// workers (parallel.Workers semantics) under ctx. Each rack draws from
+// its own stream and writes its own rows, so the model is identical for
+// any worker count. A canceled fill returns ctx's error and no model.
+func NewContext(ctx context.Context, src *rng.Source, fleet *topology.Fleet, days, workers int) (*Model, error) {
 	if days <= 0 {
 		return nil, fmt.Errorf("climate: non-positive days %d", days)
 	}
@@ -72,11 +82,12 @@ func New(src *rng.Source, fleet *topology.Fleet, days int) (*Model, error) {
 			outRH[dcIdx][d] = rh
 		}
 	}
-	for ri := range fleet.Racks {
+	err := parallel.ForEach(ctx, workers, len(fleet.Racks), func(ri int) error {
 		rack := &fleet.Racks[ri]
 		rsrc := src.SplitIndex("climate/rack", ri)
 		tOff, rhOff := rackOffsets(rack, fleet.DCs[rack.DC])
-		for d := 0; d < days; d++ {
+		temp, rh := m.temp[ri*days:(ri+1)*days], m.rh[ri*days:(ri+1)*days]
+		for d := range temp {
 			var c Conditions
 			switch fleet.DCs[rack.DC].Cooling {
 			case topology.Adiabatic:
@@ -86,11 +97,13 @@ func New(src *rng.Source, fleet *topology.Fleet, days int) (*Model, error) {
 			}
 			c.TempF += tOff + rsrc.NormFloat64()*0.8
 			c.RH += rhOff + rsrc.NormFloat64()*2.0
-			c.TempF = clamp(c.TempF, MinTempF, MaxTempF)
-			c.RH = clamp(c.RH, MinRH, MaxRH)
-			m.temp[ri*days+d] = float32(c.TempF)
-			m.rh[ri*days+d] = float32(c.RH)
+			temp[d] = float32(clamp(c.TempF, MinTempF, MaxTempF))
+			rh[d] = float32(clamp(c.RH, MinRH, MaxRH))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -1,6 +1,9 @@
 package climate
 
 import (
+	"context"
+	"errors"
+	"math"
 	"testing"
 
 	"rainshine/internal/rng"
@@ -178,6 +181,32 @@ func TestDeterminism(t *testing.T) {
 				t.Fatalf("climate not deterministic at rack %d day %d", ri, d)
 			}
 		}
+	}
+}
+
+// TestNewContextWorkerInvariance checks that the parallel fill matches
+// the serial one in every reading (float32 bits), at any worker count,
+// and that a canceled fill returns the context's error.
+func TestNewContextWorkerInvariance(t *testing.T) {
+	const days = 120
+	want, fleet := buildModel(t, days)
+	src := rng.New(rng.DefaultSeed).Split("climate")
+	for _, w := range []int{2, 3, 8} {
+		m, err := NewContext(context.Background(), src, fleet, days, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.temp {
+			if math.Float32bits(m.temp[i]) != math.Float32bits(want.temp[i]) ||
+				math.Float32bits(m.rh[i]) != math.Float32bits(want.rh[i]) {
+				t.Fatalf("workers=%d: reading %d differs from the serial fill", w, i)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if m, err := NewContext(ctx, src, fleet, days, 2); !errors.Is(err, context.Canceled) || m != nil {
+		t.Fatalf("canceled fill = (%v, %v), want (nil, context.Canceled)", m, err)
 	}
 }
 

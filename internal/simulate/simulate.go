@@ -161,12 +161,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	clim, err := climate.New(root.Split("climate"), fleet, cfg.Days)
-	if err != nil {
-		return nil, fmt.Errorf("simulate: building climate: %w", err)
-	}
+	clim, err := climate.NewContext(ctx, root.Split("climate"), fleet, cfg.Days, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if err != nil {
+		return nil, fmt.Errorf("simulate: building climate: %w", err)
 	}
 	demand, err := workload.New(root.Split("workload"), cfg.Days)
 	if err != nil {
