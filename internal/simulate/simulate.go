@@ -12,10 +12,11 @@
 package simulate
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rainshine/internal/climate"
 	"rainshine/internal/dist"
@@ -199,16 +200,17 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, forErr
 	}
 	// Deterministic merge in rack order, independent of scheduling.
-	total := 0
-	for _, evs := range perRack {
-		total += len(evs)
+	// rackStart[ri] is the index of rack ri's first event.
+	rackStart := make([]int, len(perRack)+1)
+	for ri, evs := range perRack {
+		rackStart[ri+1] = rackStart[ri] + len(evs)
 	}
-	res.Events = make([]Event, 0, total)
+	res.Events = make([]Event, 0, rackStart[len(perRack)])
 	for _, evs := range perRack {
 		res.Events = append(res.Events, evs...)
 	}
 
-	if err := synthesizeTickets(res, root.Split("tickets")); err != nil {
+	if err := synthesizeTickets(res, rackStart, root.Split("tickets")); err != nil {
 		return nil, err
 	}
 	// Telemetry corruption runs last: hazard draws and events above saw
@@ -373,18 +375,29 @@ func bootSplit(dc int) []float64 {
 }
 
 // synthesizeTickets converts hardware events into RMA tickets and adds
-// the non-hardware ticket load calibrated to Table II.
-func synthesizeTickets(res *Result, src *rng.Source) error {
+// the non-hardware ticket load calibrated to Table II. The events are in
+// rack order: rackStart[ri] is the index of rack ri's first event and
+// rackStart[len(racks)] is len(res.Events).
+//
+// Every count is known before the first draw (one hardware ticket per
+// event, each DC's non-hardware load from its hardware count, the false
+// positives from the total), so the stream is allocated once at its
+// final length and filled in place, in the order the draws are made.
+func synthesizeTickets(res *Result, rackStart []int, src *rng.Source) error {
 	fleet := res.Fleet
+	numDCs := len(fleet.DCs)
 
-	// Per-DC rack index for placing non-hardware tickets.
-	racksByDC := make([][]int, len(fleet.DCs))
+	// Per-DC rack index for placing non-hardware tickets, and each DC's
+	// hardware ticket count.
+	racksByDC := make([][]int, numDCs)
+	hwCount := make([]int, numDCs)
 	for i := range fleet.Racks {
 		dc := fleet.Racks[i].DC
 		racksByDC[dc] = append(racksByDC[dc], i)
+		hwCount[dc] += rackStart[i+1] - rackStart[i]
 	}
 
-	subFault := make([]*dist.Categorical, len(fleet.DCs))
+	subFault := make([]*dist.Categorical, numDCs)
 	for dc := range subFault {
 		c, err := dist.NewCategorical(serverSubFaults(dc))
 		if err != nil {
@@ -393,14 +406,24 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 		subFault[dc] = c
 	}
 
-	hwCount := make([]int, len(fleet.DCs))
-	type deviceKey struct {
-		rack   int32
-		comp   failure.Component
-		device int32
+	// nonHW[dc] is the DC's software, boot and other ticket counts.
+	nonHW := make([][3]int, numDCs)
+	total := len(res.Events)
+	if !res.Cfg.SkipNonHardware {
+		for dc := range nonHW {
+			swR, bootR, otherR := nonHardwareRatios(dc)
+			n := float64(hwCount[dc])
+			nonHW[dc] = [3]int{int(n * swR), int(n * bootR), int(n * otherR)}
+			total += nonHW[dc][0] + nonHW[dc][1] + nonHW[dc][2]
+		}
 	}
-	byDevice := map[deviceKey][]int{} // ticket indices per device
-	for _, ev := range res.Events {
+	fp := 0
+	if res.Cfg.FalsePositiveRate > 0 {
+		fp = int(float64(total) * res.Cfg.FalsePositiveRate)
+	}
+	tickets := make([]ticket.Ticket, total+fp)
+
+	for i, ev := range res.Events {
 		rack := &fleet.Racks[ev.Rack]
 		f := ticket.HardwareFaultOf(ev.Component)
 		if ev.Component == failure.ServerOther {
@@ -413,9 +436,8 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 				f = ticket.NetworkFailure
 			}
 		}
-		idx := len(res.Tickets)
-		res.Tickets = append(res.Tickets, ticket.Ticket{
-			ID:          idx,
+		tickets[i] = ticket.Ticket{
+			ID:          i,
 			Day:         int(ev.Day),
 			Hour:        ev.Hour,
 			DC:          rack.DC,
@@ -424,29 +446,19 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 			RepairHours: ev.RepairHours,
 			Component:   ev.Component,
 			Device:      int(ev.Device),
-		})
-		k := deviceKey{ev.Rack, ev.Component, ev.Device}
-		byDevice[k] = append(byDevice[k], idx)
-		hwCount[rack.DC]++
-	}
-	// Assign repeat counts in time order per device (the RMA re-open
-	// counter of Section IV).
-	for _, idxs := range byDevice {
-		sort.Slice(idxs, func(a, b int) bool {
-			ta, tb := &res.Tickets[idxs[a]], &res.Tickets[idxs[b]]
-			if ta.Day != tb.Day {
-				return ta.Day < tb.Day
-			}
-			return ta.Hour < tb.Hour
-		})
-		for occ, idx := range idxs {
-			res.Tickets[idx].Repeat = occ + 1
 		}
 	}
+	var keys []repeatKey
+	for ri := range fleet.Racks {
+		keys = numberRepeats(tickets[rackStart[ri]:rackStart[ri+1]], keys)
+	}
 
+	pos := len(res.Events)
 	if !res.Cfg.SkipNonHardware {
-		for dc := range fleet.DCs {
-			swR, bootR, otherR := nonHardwareRatios(dc)
+		swFaults := []ticket.Fault{ticket.Timeout, ticket.Deployment, ticket.Crash}
+		bootFaults := []ticket.Fault{ticket.PXEBoot, ticket.RebootFailure}
+		otherFaults := []ticket.Fault{ticket.OtherFault}
+		for dc := range nonHW {
 			sw, err := dist.NewCategorical(softwareSplit(dc))
 			if err != nil {
 				return err
@@ -455,49 +467,87 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 			if err != nil {
 				return err
 			}
-			n := float64(hwCount[dc])
-			addNonHW := func(count int, pick func() ticket.Fault) {
+			// add places count tickets on random racks of the DC, each
+			// with its fault drawn from faults by pick (nil: the one fault).
+			add := func(count int, pick *dist.Categorical, faults []ticket.Fault) {
+				racks := racksByDC[dc]
 				for i := 0; i < count; i++ {
-					ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
-					res.Tickets = append(res.Tickets, ticket.Ticket{
-						ID:    len(res.Tickets),
-						Day:   weekdayTiltedDay(src, res.Days),
-						Hour:  src.Float64() * 24,
-						DC:    dc,
-						Rack:  ri,
-						Fault: pick(),
-					})
+					ri := racks[src.IntN(len(racks))]
+					day := weekdayTiltedDay(src, res.Days)
+					hour := src.Float64() * 24
+					f := faults[0]
+					if pick != nil {
+						f = faults[pick.Sample(src)]
+					}
+					tickets[pos] = ticket.Ticket{ID: pos, Day: day, Hour: hour, DC: dc, Rack: ri, Fault: f}
+					pos++
 				}
 			}
-			addNonHW(int(n*swR), func() ticket.Fault {
-				return []ticket.Fault{ticket.Timeout, ticket.Deployment, ticket.Crash}[sw.Sample(src)]
-			})
-			addNonHW(int(n*bootR), func() ticket.Fault {
-				return []ticket.Fault{ticket.PXEBoot, ticket.RebootFailure}[bt.Sample(src)]
-			})
-			addNonHW(int(n*otherR), func() ticket.Fault { return ticket.OtherFault })
+			add(nonHW[dc][0], sw, swFaults)
+			add(nonHW[dc][1], bt, bootFaults)
+			add(nonHW[dc][2], nil, otherFaults)
 		}
 	}
 
 	// False positives: phantom tickets the operators closed as
 	// no-fault-found. They receive a random fault type and are marked.
-	if res.Cfg.FalsePositiveRate > 0 {
-		fp := int(float64(len(res.Tickets)) * res.Cfg.FalsePositiveRate)
-		for i := 0; i < fp; i++ {
-			dc := src.IntN(len(fleet.DCs))
-			ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
-			res.Tickets = append(res.Tickets, ticket.Ticket{
-				ID:            len(res.Tickets),
-				Day:           src.IntN(res.Days),
-				Hour:          src.Float64() * 24,
-				DC:            dc,
-				Rack:          ri,
-				Fault:         ticket.Fault(src.IntN(int(ticket.NumFaults))),
-				FalsePositive: true,
-			})
-		}
+	for ; pos < len(tickets); pos++ {
+		dc := src.IntN(numDCs)
+		ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
+		day := src.IntN(res.Days)
+		hour := src.Float64() * 24
+		f := ticket.Fault(src.IntN(int(ticket.NumFaults)))
+		tickets[pos] = ticket.Ticket{ID: pos, Day: day, Hour: hour, DC: dc, Rack: ri, Fault: f, FalsePositive: true}
 	}
+	res.Tickets = tickets
 	return nil
+}
+
+// repeatKey places one hardware ticket of a rack block in
+// numberRepeats' order.
+type repeatKey struct {
+	comp   failure.Component
+	device int
+	day    int
+	hour   float64
+	pos    int
+}
+
+// numberRepeats sets Repeat, the RMA re-open counter of Section IV, on
+// every hardware ticket of one rack's block: the ticket's occurrence
+// number among its device's tickets in time order. One sort of the block
+// on (component, device, day, hour, stream position) lays each device's
+// tickets out in time order. A hardware ticket's ID is its stream
+// position, so exact (day, hour) ties follow the audit's (day, hour, ID)
+// rule. keys is scratch, returned for reuse by the next block.
+func numberRepeats(block []ticket.Ticket, keys []repeatKey) []repeatKey {
+	keys = keys[:0]
+	for i := range block {
+		t := &block[i]
+		keys = append(keys, repeatKey{t.Component, t.Device, t.Day, t.Hour, i})
+	}
+	slices.SortFunc(keys, func(a, b repeatKey) int {
+		switch {
+		case a.comp != b.comp:
+			return cmp.Compare(a.comp, b.comp)
+		case a.device != b.device:
+			return cmp.Compare(a.device, b.device)
+		case a.day != b.day:
+			return cmp.Compare(a.day, b.day)
+		case a.hour != b.hour:
+			return cmp.Compare(a.hour, b.hour)
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	occ := 0
+	for i, k := range keys {
+		if i == 0 || k.comp != keys[i-1].comp || k.device != keys[i-1].device {
+			occ = 0
+		}
+		occ++
+		block[k.pos].Repeat = occ
+	}
+	return keys
 }
 
 // weekdayTiltedDay draws a day with the Fig 3 weekday bias via
