@@ -33,13 +33,23 @@ func (p Poisson) Sample(src *rng.Source) float64 {
 	return float64(p.SampleInt(src))
 }
 
-// SampleInt draws a Poisson variate as an int.
+// maxPoissonMean is the largest mean SampleInt accepts: half of MaxInt,
+// so a count many standard deviations above the mean still fits an int
+// (the float-to-int conversion of a larger count would wrap).
+const maxPoissonMean = float64(math.MaxInt / 2)
+
+// SampleInt draws a Poisson variate as an int. A mean that is not
+// positive, NaN included, yields 0 without a draw. A mean above
+// maxPoissonMean, +Inf included, panics: its count would not fit an
+// int.
 func (p Poisson) SampleInt(src *rng.Source) int {
 	switch {
-	case p.Lambda <= 0:
+	case !(p.Lambda > 0):
 		return 0
 	case p.Lambda < 30:
 		return poissonKnuth(src, p.Lambda)
+	case p.Lambda > maxPoissonMean:
+		panic(fmt.Sprintf("dist: Poisson mean %v is too large for an int count", p.Lambda))
 	default:
 		return poissonPTRS(src, p.Lambda)
 	}
@@ -60,15 +70,38 @@ func (p Poisson) PMF(k int) float64 {
 // Mean returns the distribution mean.
 func (p Poisson) Mean() float64 { return math.Max(p.Lambda, 0) }
 
+// poissonKnuth is Knuth's multiplication method: the count is the
+// number of uniforms whose running product stays above Exp(-lambda).
+// Most rack-day means are far below 1, so most counts are 0, decided by
+// the first uniform alone; knuthZero settles those without computing
+// Exp. Either way the draws consumed are the same.
 func poissonKnuth(src *rng.Source, lambda float64) int {
+	prod := src.Float64()
+	if knuthZero(prod, lambda) {
+		return 0
+	}
 	l := math.Exp(-lambda)
 	k := 0
-	prod := src.Float64()
 	for prod > l {
 		k++
 		prod *= src.Float64()
 	}
 	return k
+}
+
+// knuthZeroScale shrinks knuthZero's bound by 2^-30 relative.
+const knuthZeroScale = 1 - 0x1p-30
+
+// knuthZero reports whether a first uniform u already settles Knuth's
+// count at mean lambda as 0, without computing Exp(-lambda). The count
+// is 0 exactly when u <= Exp(-lambda). For lambda < 1 the bound
+// (1-lambda)*knuthZeroScale lies below the computed Exp(-lambda):
+// 1-lambda <= exp(-lambda) for every real lambda, computing 1-lambda and
+// the product each round by at most 2^-53 relative, and math.Exp errs by
+// less than an ulp, all far inside the 2^-30 margin. A false answer
+// settles nothing; the caller computes Exp.
+func knuthZero(u, lambda float64) bool {
+	return lambda < 1 && u <= (1-lambda)*knuthZeroScale
 }
 
 // poissonPTRS implements Hörmann's transformed rejection with squeeze.
