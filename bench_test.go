@@ -171,6 +171,19 @@ func BenchmarkSimulateYear(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatePaper measures the simulation at the size every cold
+// paper-scale study pays for first: the default fleet (621 racks) over
+// the default 930-day window, with the study's default worker pool.
+// BenchmarkSimulateYear's 50-rack fleet is too small for the serial
+// parts (the climate fill, ticket synthesis) to show.
+func BenchmarkSimulatePaper(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := simulate.RunContext(context.Background(), simulate.Config{Seed: 42})
+		benchErr(b, err)
+	}
+}
+
 // cartBenchFrame builds the reference CART scenario at the given row
 // count: one continuous driver, one 7-level nominal, additive response.
 // The same generator serves the 20k and fleet-scale (1M) benchmarks so
