@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rainshine"
+	"rainshine/internal/parallel"
 	"rainshine/internal/resilience"
 )
 
@@ -46,6 +48,30 @@ func flakyBuild(ok int, failErr error) buildFunc {
 			return nil, failErr
 		}
 		return &rainshine.Study{}, nil
+	}
+}
+
+// TestRegistryRecoversPanicInParallelBuild checks that a build whose
+// parallel task panics on a pool goroutine becomes a build error for its
+// caller, as a panic on the build goroutine does, instead of ending the
+// process.
+func TestRegistryRecoversPanicInParallelBuild(t *testing.T) {
+	reg := newRegistry(registryOptions{
+		capacity: 1,
+		metrics:  NewMetrics(),
+		build: func(ctx context.Context, cfg StudyConfig) (*rainshine.Study, error) {
+			return nil, parallel.ForEach(ctx, 4, 8, func(i int) error {
+				if i == 5 {
+					panic("task 5 exploded")
+				}
+				return nil
+			})
+		},
+	})
+	_, _, err := reg.Study(context.Background(), StudyConfig{Seed: 1})
+	var be *BuildError
+	if !errors.As(err, &be) || !strings.Contains(err.Error(), "study build panicked: task 5 exploded") {
+		t.Fatalf("err = %v, want a BuildError for the panic", err)
 	}
 }
 
