@@ -310,6 +310,29 @@ func TestDeviceIdentityAndRepeats(t *testing.T) {
 	}
 }
 
+// TestNumberRepeatsOrder checks the repeat rule on a hand-built rack
+// block: counters run per (component, device) in (day, hour) order, and
+// an exact (day, hour) tie goes to the earlier stream position, the
+// audit's (day, hour, ID) rule. Simulated streams hold no exact ties, so
+// TestSimulationDigest cannot see the tie-break.
+func TestNumberRepeatsOrder(t *testing.T) {
+	block := []ticket.Ticket{
+		{Component: failure.Disk, Device: 3, Day: 5, Hour: 2},
+		{Component: failure.Disk, Device: 3, Day: 4, Hour: 9},
+		{Component: failure.Disk, Device: 3, Day: 5, Hour: 2},
+		{Component: failure.DIMM, Device: 3, Day: 1, Hour: 0},
+		{Component: failure.Disk, Device: 7, Day: 5, Hour: 2},
+		{Component: failure.Disk, Device: 3, Day: 5, Hour: 1.5},
+	}
+	numberRepeats(block, nil)
+	want := []int{3, 1, 4, 1, 1, 2}
+	for i, tk := range block {
+		if tk.Repeat != want[i] {
+			t.Errorf("ticket %d: Repeat = %d, want %d", i, tk.Repeat, want[i])
+		}
+	}
+}
+
 func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
