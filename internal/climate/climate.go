@@ -50,7 +50,9 @@ type Model struct {
 }
 
 // New builds the climate series for every rack over days observation
-// days, serially. Deterministic given the source.
+// days. Deterministic given the source. It is NewContext with
+// context.Background() and one worker; use that variant to fill the
+// racks in parallel under a cancellable context.
 func New(src *rng.Source, fleet *topology.Fleet, days int) (*Model, error) {
 	return NewContext(context.Background(), src, fleet, days, 1)
 }
