@@ -145,9 +145,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunContext executes a full simulation under ctx. Cancellation is
-// checked between construction phases and before each rack's event walk,
-// so an abandoned caller stops paying for simulation within one rack's
-// worth of work. A canceled run returns ctx's error; partial results are
+// checked between construction phases and before each rack's climate
+// fill and event walk, so an abandoned caller stops paying for
+// simulation within one rack's worth of work. A canceled run returns ctx's error; partial results are
 // never returned.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
