@@ -147,8 +147,8 @@ func Run(cfg Config) (*Result, error) {
 // RunContext executes a full simulation under ctx. Cancellation is
 // checked between construction phases and before each rack's climate
 // fill and event walk, so an abandoned caller stops paying for
-// simulation within one rack's worth of work. A canceled run returns ctx's error; partial results are
-// never returned.
+// simulation within one rack's worth of work. A canceled run returns
+// ctx's error; partial results are never returned.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Days < 1 {
@@ -385,19 +385,18 @@ func bootSplit(dc int) []float64 {
 // final length and filled in place, in the order the draws are made.
 func synthesizeTickets(res *Result, rackStart []int, src *rng.Source) error {
 	fleet := res.Fleet
-	numDCs := len(fleet.DCs)
 
 	// Per-DC rack index for placing non-hardware tickets, and each DC's
 	// hardware ticket count.
-	racksByDC := make([][]int, numDCs)
-	hwCount := make([]int, numDCs)
+	racksByDC := make([][]int, len(fleet.DCs))
+	hwCount := make([]int, len(fleet.DCs))
 	for i := range fleet.Racks {
 		dc := fleet.Racks[i].DC
 		racksByDC[dc] = append(racksByDC[dc], i)
 		hwCount[dc] += rackStart[i+1] - rackStart[i]
 	}
 
-	subFault := make([]*dist.Categorical, numDCs)
+	subFault := make([]*dist.Categorical, len(fleet.DCs))
 	for dc := range subFault {
 		c, err := dist.NewCategorical(serverSubFaults(dc))
 		if err != nil {
@@ -406,8 +405,8 @@ func synthesizeTickets(res *Result, rackStart []int, src *rng.Source) error {
 		subFault[dc] = c
 	}
 
-	// nonHW[dc] is the DC's software, boot and other ticket counts.
-	nonHW := make([][3]int, numDCs)
+	// nonHW[dc] holds the DC's software, boot and other ticket counts.
+	nonHW := make([][3]int, len(fleet.DCs))
 	total := len(res.Events)
 	if !res.Cfg.SkipNonHardware {
 		for dc := range nonHW {
@@ -448,6 +447,8 @@ func synthesizeTickets(res *Result, rackStart []int, src *rng.Source) error {
 			Device:      int(ev.Device),
 		}
 	}
+	// Assign repeat counts in time order per device (the RMA re-open
+	// counter of Section IV), one rack block at a time.
 	var keys []repeatKey
 	for ri := range fleet.Racks {
 		keys = numberRepeats(tickets[rackStart[ri]:rackStart[ri+1]], keys)
@@ -455,10 +456,7 @@ func synthesizeTickets(res *Result, rackStart []int, src *rng.Source) error {
 
 	pos := len(res.Events)
 	if !res.Cfg.SkipNonHardware {
-		swFaults := []ticket.Fault{ticket.Timeout, ticket.Deployment, ticket.Crash}
-		bootFaults := []ticket.Fault{ticket.PXEBoot, ticket.RebootFailure}
-		otherFaults := []ticket.Fault{ticket.OtherFault}
-		for dc := range nonHW {
+		for dc := range fleet.DCs {
 			sw, err := dist.NewCategorical(softwareSplit(dc))
 			if err != nil {
 				return err
@@ -467,37 +465,45 @@ func synthesizeTickets(res *Result, rackStart []int, src *rng.Source) error {
 			if err != nil {
 				return err
 			}
-			// add places count tickets on random racks of the DC, each
-			// with its fault drawn from faults by pick (nil: the one fault).
-			add := func(count int, pick *dist.Categorical, faults []ticket.Fault) {
-				racks := racksByDC[dc]
+			addNonHW := func(count int, pick func() ticket.Fault) {
 				for i := 0; i < count; i++ {
-					ri := racks[src.IntN(len(racks))]
-					day := weekdayTiltedDay(src, res.Days)
-					hour := src.Float64() * 24
-					f := faults[0]
-					if pick != nil {
-						f = faults[pick.Sample(src)]
+					ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
+					tickets[pos] = ticket.Ticket{
+						ID:    pos,
+						Day:   weekdayTiltedDay(src, res.Days),
+						Hour:  src.Float64() * 24,
+						DC:    dc,
+						Rack:  ri,
+						Fault: pick(),
 					}
-					tickets[pos] = ticket.Ticket{ID: pos, Day: day, Hour: hour, DC: dc, Rack: ri, Fault: f}
 					pos++
 				}
 			}
-			add(nonHW[dc][0], sw, swFaults)
-			add(nonHW[dc][1], bt, bootFaults)
-			add(nonHW[dc][2], nil, otherFaults)
+			addNonHW(nonHW[dc][0], func() ticket.Fault {
+				return []ticket.Fault{ticket.Timeout, ticket.Deployment, ticket.Crash}[sw.Sample(src)]
+			})
+			addNonHW(nonHW[dc][1], func() ticket.Fault {
+				return []ticket.Fault{ticket.PXEBoot, ticket.RebootFailure}[bt.Sample(src)]
+			})
+			addNonHW(nonHW[dc][2], func() ticket.Fault { return ticket.OtherFault })
 		}
 	}
 
 	// False positives: phantom tickets the operators closed as
 	// no-fault-found. They receive a random fault type and are marked.
-	for ; pos < len(tickets); pos++ {
-		dc := src.IntN(numDCs)
+	for i := 0; i < fp; i++ {
+		dc := src.IntN(len(fleet.DCs))
 		ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
-		day := src.IntN(res.Days)
-		hour := src.Float64() * 24
-		f := ticket.Fault(src.IntN(int(ticket.NumFaults)))
-		tickets[pos] = ticket.Ticket{ID: pos, Day: day, Hour: hour, DC: dc, Rack: ri, Fault: f, FalsePositive: true}
+		tickets[pos] = ticket.Ticket{
+			ID:            pos,
+			Day:           src.IntN(res.Days),
+			Hour:          src.Float64() * 24,
+			DC:            dc,
+			Rack:          ri,
+			Fault:         ticket.Fault(src.IntN(int(ticket.NumFaults))),
+			FalsePositive: true,
+		}
+		pos++
 	}
 	res.Tickets = tickets
 	return nil
