@@ -88,8 +88,7 @@ func NewContext(ctx context.Context, src *rng.Source, fleet *topology.Fleet, day
 		rack := &fleet.Racks[ri]
 		rsrc := src.SplitIndex("climate/rack", ri)
 		tOff, rhOff := rackOffsets(rack, fleet.DCs[rack.DC])
-		temp, rh := m.temp[ri*days:(ri+1)*days], m.rh[ri*days:(ri+1)*days]
-		for d := range temp {
+		for d := 0; d < days; d++ {
 			var c Conditions
 			switch fleet.DCs[rack.DC].Cooling {
 			case topology.Adiabatic:
@@ -99,8 +98,10 @@ func NewContext(ctx context.Context, src *rng.Source, fleet *topology.Fleet, day
 			}
 			c.TempF += tOff + rsrc.NormFloat64()*0.8
 			c.RH += rhOff + rsrc.NormFloat64()*2.0
-			temp[d] = float32(clamp(c.TempF, MinTempF, MaxTempF))
-			rh[d] = float32(clamp(c.RH, MinRH, MaxRH))
+			c.TempF = clamp(c.TempF, MinTempF, MaxTempF)
+			c.RH = clamp(c.RH, MinRH, MaxRH)
+			m.temp[ri*days+d] = float32(c.TempF)
+			m.rh[ri*days+d] = float32(c.RH)
 		}
 		return nil
 	})
