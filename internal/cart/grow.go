@@ -49,11 +49,12 @@ type split struct {
 
 // scratch holds one worker slot's reusable search buffers.
 type scratch struct {
-	cells              []int     // histogram cells in scan order
-	score              []float64 // nominal: per-level order key
-	hist               []float64 // presorted nominal: the level histogram
-	left, right, total []float64 // class counts
-	spill              []int32   // presorted partition spill buffer
+	cells              []int        // histogram cells in scan order
+	score              []float64    // nominal: per-level order key
+	hist               []float64    // presorted nominal: the level histogram
+	left, right, total []float64    // class counts
+	spill              []int32      // presort ping-pong and partition spill buffer
+	counts             *digitCounts // presort digit histograms, allocated on first use
 }
 
 // pad is the spare capacity, in float64s, after each worker's hot

@@ -264,7 +264,7 @@ func TestPropRefitterMaintainedOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for fi, f := range feats {
-				if f.Kind != frame.Nominal && !slices.Equal(r.sorted[fi], sortedFinite(r.cols[fi], 0, held)) {
+				if f.Kind != frame.Nominal && !slices.Equal(r.sorted[fi], refSortedFinite(r.cols[fi], 0, held)) {
 					t.Fatalf("seed %d batch %d: Append moved feature %s's maintained order", seed, bi, f.Name)
 				}
 			}
@@ -279,8 +279,93 @@ func TestPropRefitterMaintainedOrder(t *testing.T) {
 				if len(r.pending[fi]) != 0 {
 					t.Fatalf("seed %d batch %d: feature %s has %d pending rows after Refit", seed, bi, f.Name, len(r.pending[fi]))
 				}
-				if f.Kind != frame.Nominal && !slices.Equal(r.sorted[fi], sortedFinite(r.cols[fi], 0, held)) {
+				if f.Kind != frame.Nominal && !slices.Equal(r.sorted[fi], refSortedFinite(r.cols[fi], 0, held)) {
 					t.Fatalf("seed %d batch %d: feature %s's order is not the (value, row) order of its finite cells", seed, bi, f.Name)
+				}
+			}
+		}
+	}
+}
+
+// refSortedFinite is the comparison sort the radix presort replaced,
+// kept as the reference its order is checked against: the rows in
+// [lo, hi) whose cell in col is finite, sorted by (value, row index).
+func refSortedFinite(col []float64, lo, hi int) []int32 {
+	s := make([]int32, 0, hi-lo)
+	for r := lo; r < hi; r++ {
+		if isFinite(col[r]) {
+			s = append(s, int32(r))
+		}
+	}
+	slices.SortFunc(s, func(a, c int32) int {
+		va, vc := col[a], col[c]
+		switch {
+		case va < vc:
+			return -1
+		case va > vc:
+			return 1
+		case a < c:
+			return -1
+		case a > c:
+			return 1
+		}
+		return 0
+	})
+	return s
+}
+
+// TestPropRadixOrderMatchesComparisonSort checks sortedFinite's radix
+// order against refSortedFinite on columns drawn to reach every corner
+// of the key mapping and the digit skipping: heavy ties, mixed −0/+0,
+// NaN and ±Inf, subnormals and ±MaxFloat64, a single distinct value,
+// columns with no finite cell, integer-valued and float32-widened
+// values (whose low digits every key shares), and a mix of all of
+// them. The sorted range starts at a non-zero lo, as Refitter.Append's
+// does, with cells outside it that must not leak in; the histograms
+// and the ping-pong buffer are reused dirty from call to call.
+func TestPropRadixOrderMatchesComparisonSort(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	pick := func(src *rng.Source, vs ...float64) float64 { return vs[src.IntN(len(vs))] }
+	type gen struct {
+		name string
+		draw func(src *rng.Source) float64
+	}
+	gens := []gen{
+		{"ties", func(src *rng.Source) float64 { return float64(src.IntN(4)) - 1.5 }},
+		{"signed-zero", func(src *rng.Source) float64 { return pick(src, math.Copysign(0, -1), 0, -1, 1, 0.5) }},
+		{"non-finite", func(src *rng.Source) float64 { return pick(src, nan, inf, -inf, src.NormFloat64()) }},
+		{"extremes", func(src *rng.Source) float64 {
+			return pick(src, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+				3*math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030, math.MaxFloat64, -math.MaxFloat64,
+				math.Nextafter(math.MaxFloat64, 0), 0, math.Copysign(0, -1))
+		}},
+		{"single", func(*rng.Source) float64 { return 3.25 }},
+		{"all-non-finite", func(src *rng.Source) float64 { return pick(src, nan, inf, -inf) }},
+		{"integers", func(src *rng.Source) float64 { return float64(src.IntN(2000) - 1000) }},
+		{"float32", func(src *rng.Source) float64 { return float64(float32(70 + 15*src.NormFloat64())) }},
+		{"wide", func(src *rng.Source) float64 { return src.NormFloat64() * math.Pow(10, float64(src.IntN(80)-40)) }},
+	}
+	pure := gens
+	gens = append(gens, gen{"mixed", func(src *rng.Source) float64 { return pure[src.IntN(len(pure))].draw(src) }})
+
+	cnt := new(digitCounts)
+	tmp := make([]int32, 0, 6000)
+	for gi, g := range gens {
+		for _, n := range []int{0, 1, 2, 3, 17, 130, 160, 1000, 5000} {
+			for rep := 0; rep < 4; rep++ {
+				src := rng.New(uint64(1000*gi + 10*n + rep + 1))
+				lo := src.IntN(40)
+				col := make([]float64, lo+n+src.IntN(40))
+				for i := range col {
+					col[i] = g.draw(src)
+				}
+				tmp = tmp[:n]
+				for i := range tmp {
+					tmp[i] = -1
+				}
+				got := sortedFinite(col, lo, lo+n, tmp, cnt)
+				if want := refSortedFinite(col, lo, lo+n); !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d lo=%d rep=%d: radix order differs from the comparison order", g.name, n, lo, rep)
 				}
 			}
 		}
