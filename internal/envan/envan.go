@@ -29,9 +29,9 @@ var TempEdges = []float64{0, 60, 65, 70, 75, 200}
 // TempBinLabels label the bins for display.
 var TempBinLabels = []string{"<60", "60-65", "65-70", "70-75", ">75"}
 
-// BinnedRates returns, per temperature bin, the Summary of the value
+// BinnedRates returns, per temperature bin, the Moments of the value
 // column over rack-days (mean = the bar, sd = the error bar).
-func BinnedRates(f *frame.Frame, value string) ([]stats.Summary, error) {
+func BinnedRates(f *frame.Frame, value string) ([]stats.Moments, error) {
 	tc, err := f.Col("temp")
 	if err != nil {
 		return nil, err
@@ -40,7 +40,7 @@ func BinnedRates(f *frame.Frame, value string) ([]stats.Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return stats.GroupedSummary(tc.Data, vc.Data, TempEdges)
+	return stats.GroupedMoments(tc.Data, vc.Data, TempEdges)
 }
 
 // MFFeatures are the candidate factors for the environmental tree.

@@ -83,7 +83,7 @@ func binnedBars(f *frame.Frame, key, value string, edges []float64, labels []str
 	if err != nil {
 		return nil, err
 	}
-	sums, err := stats.GroupedSummary(kc.Data, vc.Data, edges)
+	sums, err := stats.GroupedMoments(kc.Data, vc.Data, edges)
 	if err != nil {
 		return nil, err
 	}

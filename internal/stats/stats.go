@@ -1,5 +1,5 @@
 // Package stats provides the descriptive statistics used throughout the
-// reproduction: moments, quantiles, empirical CDFs, binned summaries,
+// reproduction: moments, quantiles, empirical CDFs, binned moments,
 // ranks, and the paired tests behind Q2.
 //
 // The paper's figures report means, standard deviations, percentiles of
