@@ -203,23 +203,32 @@ func TrainContext(ctx context.Context, f *frame.Frame, cfg Config) (*Result, err
 }
 
 // downsample keeps every positive row and at most ratio-times as many
-// negatives, selected uniformly.
+// negatives, selected uniformly. rows must be ascending (TrainContext
+// builds them so); the kept rows come back in that order, so Subset
+// keeps time order.
 func downsample(rows []int, labels []int, ratio float64, src *rng.Source) []int {
-	var pos, neg []int
-	for _, r := range rows {
-		if labels[r] == 1 {
-			pos = append(pos, r)
-		} else {
-			neg = append(neg, r)
+	var neg []int // positions in rows of the negatives
+	for i, r := range rows {
+		if labels[r] != 1 {
+			neg = append(neg, i)
 		}
 	}
-	keep := int(float64(len(pos)) * ratio)
-	if keep >= len(neg) || len(pos) == 0 {
+	npos := len(rows) - len(neg)
+	keep := int(float64(npos) * ratio)
+	if keep >= len(neg) || npos == 0 {
 		return rows
 	}
 	src.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
-	out := append(append([]int(nil), pos...), neg[:keep]...)
-	sort.Ints(out) // restore time order for reproducibility of Subset
+	kept := make([]bool, len(rows))
+	for _, i := range neg[:keep] {
+		kept[i] = true
+	}
+	out := make([]int, 0, npos+keep)
+	for i, r := range rows {
+		if labels[r] == 1 || kept[i] {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 

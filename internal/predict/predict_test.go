@@ -2,6 +2,8 @@ package predict
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"rainshine/internal/frame"
@@ -177,6 +179,56 @@ func TestDownsample(t *testing.T) {
 	all := downsample(rows, labels, 100, src)
 	if len(all) != 100 {
 		t.Errorf("over-ratio downsample dropped rows: %d", len(all))
+	}
+}
+
+// refDownsample is the sort-based downsample the marking walk
+// replaced, kept as the reference it is checked against.
+func refDownsample(rows []int, labels []int, ratio float64, src *rng.Source) []int {
+	var pos, neg []int
+	for _, r := range rows {
+		if labels[r] == 1 {
+			pos = append(pos, r)
+		} else {
+			neg = append(neg, r)
+		}
+	}
+	keep := int(float64(len(pos)) * ratio)
+	if keep >= len(neg) || len(pos) == 0 {
+		return rows
+	}
+	src.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
+	out := append(append([]int(nil), pos...), neg[:keep]...)
+	sort.Ints(out)
+	return out
+}
+
+// TestDownsampleMatchesSortedReference checks that downsample keeps the
+// same rows in the same order as refDownsample for the same draws, on
+// seeded ascending row sets that skip frame rows: ratios 1 and 3, no
+// positives, all positives, and a ratio that keeps every negative.
+func TestDownsampleMatchesSortedReference(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		src := rng.New(seed)
+		n := 1 + src.IntN(2000)
+		posRate := []float64{0.05, 0.25, 0, 1}[seed%4]
+		labels := make([]int, n)
+		var rows []int
+		for r := range labels {
+			if src.Float64() < posRate {
+				labels[r] = 1
+			}
+			if src.Float64() < 0.8 {
+				rows = append(rows, r)
+			}
+		}
+		for _, ratio := range []float64{1, 3, 1e6} {
+			got := downsample(rows, labels, ratio, rng.New(seed).Split("balance"))
+			want := refDownsample(rows, labels, ratio, rng.New(seed).Split("balance"))
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d ratio %v (positive rate %v): kept rows differ from the sorted reference", seed, ratio, posRate)
+			}
+		}
 	}
 }
 
