@@ -184,6 +184,25 @@ func BenchmarkSimulatePaper(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictPaper measures training and evaluating the failure
+// predictor at the size a cold paper-scale study pays for: the seed-42
+// study's rack-day frame (621 racks × 930 days), whose balanced training
+// split fits one 78,664-row exact tree. BenchmarkPredictTrain's shared
+// study is too small to show that fit.
+func BenchmarkPredictPaper(b *testing.B) {
+	s, err := NewStudy(WithSeed(42))
+	benchErr(b, err)
+	f, err := s.Figures().RackDays()
+	benchErr(b, err)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := predict.TrainContext(ctx, f, predict.Config{Balance: true})
+		benchErr(b, err)
+	}
+}
+
 // cartBenchFrame builds the reference CART scenario at the given row
 // count: one continuous driver, one 7-level nominal, additive response.
 // The same generator serves the 20k and fleet-scale (1M) benchmarks so
