@@ -137,6 +137,24 @@ func TestFlightPanicReleasesWaiters(t *testing.T) {
 	}
 }
 
+// TestLazyValPanicIsNotASuccess: a compute-once cell whose computation
+// panicked must not serve a zero value as a success to later callers.
+func TestLazyValPanicIsNotASuccess(t *testing.T) {
+	var l lazyVal[*int]
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Errorf("first caller recovered %v, want the panic", p)
+			}
+		}()
+		l.get(func() (*int, error) { panic("boom") })
+	}()
+	v, err := l.get(func() (*int, error) { return new(int), nil })
+	if v != nil || !errors.Is(err, errPanicked) {
+		t.Errorf("after a panic: get = %v, %v, want nil, errPanicked", v, err)
+	}
+}
+
 func TestMuKeySpace(t *testing.T) {
 	a, ok := muKeyOf([]failure.Component{failure.DIMM, failure.Disk}, metrics.Hourly)
 	b, okB := muKeyOf([]failure.Component{failure.Disk, failure.DIMM, failure.Disk}, metrics.Hourly)
@@ -164,7 +182,6 @@ func TestMemoSharesMu(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := From(res)
-	d.EnableCache()
 	a, err := d.Mu([]failure.Component{failure.DIMM, failure.Disk}, metrics.Daily)
 	if err != nil {
 		t.Fatal(err)

@@ -20,12 +20,11 @@ import (
 // failed on a request the parser accepted. /metricz may only ever hold
 // the registered routes and the shared unmatched bucket as keys.
 func FuzzServeQuery(f *testing.F) {
-	// The CLI's -small study, memo on as the daemon builds it.
+	// The CLI's -small study.
 	study, err := rainshine.NewStudy(rainshine.WithDays(365), rainshine.WithRacks(120, 100))
 	if err != nil {
 		f.Fatal(err)
 	}
-	study.Figures().EnableCache()
 	build := func(context.Context, StudyConfig) (*rainshine.Study, error) { return study, nil }
 	// Logf stays the default (log.Printf): a panic's stack reaches the
 	// fuzzer's output.

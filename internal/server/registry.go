@@ -66,23 +66,14 @@ type buildFunc func(ctx context.Context, cfg StudyConfig) (*rainshine.Study, err
 // study's simulation and analysis fan-out (cart.Config.Workers
 // semantics: 0 means GOMAXPROCS, 1 forces serial); it is a server-level
 // tuning knob, not part of the cache key, because every worker count
-// produces byte-identical studies. Every study it builds has its memo
-// on, so the sub-analyses Q1-Q3 share (μ distributions, the Q3 fit, the
-// S2/S4 MF comparison) are computed once per study, not once per
-// request; Config.Warmup only decides whether the figures are computed
-// before the study is published.
+// produces byte-identical studies.
 func buildStudyWith(workers int) buildFunc {
 	return func(ctx context.Context, cfg StudyConfig) (*rainshine.Study, error) {
 		opts := cfg.Options()
 		if workers != 0 {
 			opts = append(opts, rainshine.WithWorkers(workers))
 		}
-		st, err := rainshine.NewStudyContext(ctx, opts...)
-		if err != nil {
-			return nil, err
-		}
-		st.Figures().EnableCache()
-		return st, nil
+		return rainshine.NewStudyContext(ctx, opts...)
 	}
 }
 

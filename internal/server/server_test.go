@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"rainshine"
 	"rainshine/internal/leakcheck"
 	"rainshine/internal/metrics"
+	"rainshine/internal/predict"
 	"rainshine/internal/provision"
 )
 
@@ -505,10 +507,10 @@ func TestRequestTimeout(t *testing.T) {
 
 // TestMemoWithoutWarmup checks that a daemon started without Warmup
 // still computes each study's shared sub-analyses once: repeated q1
-// hourly and q3 reads return the same bytes as a one-shot study, the
-// study the registry published reuses its μ distributions and Q3 fit,
-// and a q3 read canceled during the fit leaves nothing behind that the
-// next read could trip over.
+// hourly, q3 and predict reads return the same bytes as a one-shot
+// study, the study the registry published reuses its μ distributions,
+// Q3 fit and trained predictor, and a q3 read canceled during the fit
+// leaves nothing behind that the next read could trip over.
 func TestMemoWithoutWarmup(t *testing.T) {
 	leakcheck.Check(t)
 	const query = "seed=7&days=365&racks=60,50"
@@ -569,16 +571,41 @@ func TestMemoWithoutWarmup(t *testing.T) {
 		t.Fatalf("q3 canceled %v into a %v fit = %d %s, want 499", fit/4, fit, code, body)
 	}
 
+	// The first predict read trains the published study's predictor;
+	// the second must read it from the memo, so it allocates a small
+	// fraction of the bytes training did.
+	var (
+		predictors [2]*predict.Result
+		allocated  [2]uint64
+	)
 	for _, c := range []struct{ path, want string }{
 		{"/v1/q1?workload=W1&hourly=true&" + query, encode(oneShot.SpareProvisioning(rainshine.W1, true))},
 		{"/v1/q3?" + query, q3Want},
+		{"/v1/predict?" + query, encode(oneShot.FailurePrediction())},
 	} {
 		for i := 0; i < 2; i++ {
-			if code, body := serve(bg, c.path); code != http.StatusOK || body != c.want {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			code, body := serve(bg, c.path)
+			runtime.ReadMemStats(&after)
+			if code != http.StatusOK || body != c.want {
 				t.Errorf("%s read %d = %d, body differs from the one-shot study:\n got %.200s\nwant %.200s",
 					c.path, i, code, body, c.want)
 			}
+			if strings.HasPrefix(c.path, "/v1/predict") {
+				allocated[i] = after.TotalAlloc - before.TotalAlloc
+				if predictors[i], err = st.Figures().Prediction(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+	}
+	if predictors[0] == nil || predictors[0] != predictors[1] {
+		t.Error("published study's memoized predictor changed between predict reads")
+	}
+	if allocated[1]*10 > allocated[0] {
+		t.Errorf("second predict read allocated %d bytes, the first (training) %d: it retrained",
+			allocated[1], allocated[0])
 	}
 
 	a, err := st.ClimateGuidance()
