@@ -62,13 +62,13 @@ type Thresholds struct {
 }
 
 // GroupRates is one DC's failure rates across the Fig 18 regimes, each
-// a Summary of rack-day disk failure counts.
+// the Moments of rack-day disk failure counts in row order.
 type GroupRates struct {
 	DC     string
-	Cool   stats.Summary // temp <= threshold
-	Hot    stats.Summary // temp >= threshold
-	HotDry stats.Summary // temp >= threshold AND rh <= RH threshold
-	All    stats.Summary
+	Cool   stats.Moments // temp <= threshold
+	Hot    stats.Moments // temp > threshold
+	HotDry stats.Moments // temp > threshold AND rh <= RH threshold
+	All    stats.Moments
 }
 
 // Result is the full Q3 MF analysis.
@@ -287,12 +287,13 @@ func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Resu
 				}
 			}
 		}
-		g := GroupRates{DC: dcCol.Levels[dcIdx]}
-		g.Cool = summarizeOrZero(cool)
-		g.Hot = summarizeOrZero(hot)
-		g.HotDry = summarizeOrZero(hotDry)
-		g.All = summarizeOrZero(all)
-		return g, nil
+		return GroupRates{
+			DC:     dcCol.Levels[dcIdx],
+			Cool:   stats.MomentsOf(cool),
+			Hot:    stats.MomentsOf(hot),
+			HotDry: stats.MomentsOf(hotDry),
+			All:    stats.MomentsOf(all),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -461,14 +462,6 @@ func mergeUnique(lists ...[]string) []string {
 		}
 	}
 	return out
-}
-
-func summarizeOrZero(xs []float64) stats.Summary {
-	s, err := stats.Summarize(xs)
-	if err != nil {
-		return stats.Summary{}
-	}
-	return s
 }
 
 // bestThreshold walks the tree and returns the threshold of the

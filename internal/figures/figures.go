@@ -580,7 +580,7 @@ func (d *Data) Fig18Context(ctx context.Context) (*Fig18Result, error) {
 	for _, g := range res.Groups {
 		cells := []struct {
 			name string
-			s    stats.Summary
+			s    stats.Moments
 		}{
 			{"T<=" + tLbl + "F", g.Cool},
 			{"T>" + tLbl + "F", g.Hot},

@@ -28,6 +28,12 @@ type Moments struct {
 	StdDev float64
 }
 
+// MomentsOf returns the Moments of xs, summed in slice order; an empty
+// xs has zero Moments.
+func MomentsOf(xs []float64) Moments {
+	return Moments{N: len(xs), Mean: Mean(xs), StdDev: StdDev(xs)}
+}
+
 // GroupedMoments computes, for a paired sample (key, value), the Moments
 // of the values whose keys fall into each bucket of edges: the bars and
 // error bars of the "failure rate vs factor bin" figures (Figs 5, 9, 16
@@ -69,9 +75,7 @@ func GroupedMoments(keys, values []float64, edges []float64) ([]Moments, error) 
 	}
 	out := make([]Moments, len(edges)-1)
 	for b := range out {
-		if g := buf[start[b]:start[b+1]]; len(g) > 0 {
-			out[b] = Moments{N: len(g), Mean: Mean(g), StdDev: StdDev(g)}
-		}
+		out[b] = MomentsOf(buf[start[b]:start[b+1]])
 	}
 	return out, nil
 }
