@@ -97,7 +97,7 @@ func paperRackDayHazards(t *testing.T, stride int) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hz := failure.NewWithDemand(fleet, failure.DefaultParams(), demand)
+	hz := failure.New(fleet, failure.DefaultParams(), demand)
 	var out []float64
 	for ri := range fleet.Racks {
 		rack := &fleet.Racks[ri]
@@ -106,7 +106,10 @@ func paperRackDayHazards(t *testing.T, stride int) []float64 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			common := hz.CommonMultiplier(rack, day)
+			common, err := hz.CommonMultiplier(rack, day)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for c := failure.Disk; c < failure.NumComponents; c++ {
 				out = append(out, hz.RackHazard(c, rack, common, cond))
 			}

@@ -10,12 +10,12 @@
 package failure
 
 import (
-	"fmt"
 	"math"
 
 	"rainshine/internal/calendar"
 	"rainshine/internal/climate"
 	"rainshine/internal/topology"
+	"rainshine/internal/workload"
 )
 
 // Component identifies what failed. The paper provisions spares for
@@ -56,10 +56,6 @@ type Params struct {
 
 	// DCRegion[dc][region] is the spatial multiplier (Fig 2).
 	DCRegion [][]float64
-
-	// Weekday and Weekend multipliers (Fig 3).
-	Weekday float64
-	Weekend float64
 
 	// Month[m] is the month-of-year multiplier (Fig 4).
 	Month [12]float64
@@ -106,8 +102,6 @@ func DefaultParams() Params {
 			{2.2, 1.45, 1.25, 1.4}, // DC1 regions (Fig 2: DC1 higher)
 			{1.0, 0.85, 1.1},       // DC2 regions
 		},
-		Weekday: 1.25,
-		Weekend: 0.95,
 		Month: [12]float64{
 			0.85, 0.85, 0.90, 0.90, 0.95, 1.00,
 			1.10, 1.20, 1.25, 1.25, 1.20, 1.15,
@@ -149,32 +143,19 @@ func DefaultParams() Params {
 	}
 }
 
-// DemandModel supplies per-class utilization so the temporal hazard can
-// follow actual load instead of a fixed weekday constant.
-// *workload.Model satisfies it.
-type DemandModel interface {
-	Utilization(wl topology.Workload, day int) (float64, error)
-}
-
 // Model evaluates hazards for a fleet.
 type Model struct {
 	P     Params
 	Fleet *topology.Fleet
-	// Demand, when set, replaces the static Weekday/Weekend multipliers
-	// with a load-stress multiplier derived from the class's actual
-	// utilization (the mechanism the paper posits for Fig 3).
-	Demand DemandModel
+	// Demand supplies each workload class's daily utilization, which
+	// the temporal hazard turns into a load-stress multiplier (the
+	// mechanism the paper posits for Fig 3's weekday elevation).
+	Demand *workload.Model
 }
 
-// New returns a hazard model over fleet with the given params and the
-// static weekday/weekend temporal multipliers.
-func New(fleet *topology.Fleet, p Params) *Model {
-	return &Model{P: p, Fleet: fleet}
-}
-
-// NewWithDemand returns a hazard model whose temporal stress follows the
-// demand model.
-func NewWithDemand(fleet *topology.Fleet, p Params, demand DemandModel) *Model {
+// New returns a hazard model over fleet with the given params, whose
+// temporal stress follows the demand model.
+func New(fleet *topology.Fleet, p Params, demand *workload.Model) *Model {
 	return &Model{P: p, Fleet: fleet, Demand: demand}
 }
 
@@ -182,17 +163,15 @@ func NewWithDemand(fleet *topology.Fleet, p Params, demand DemandModel) *Model {
 // for one rack on one day: spatial, temporal, workload, SKU, power, age.
 // It depends only on (rack, day), so a caller evaluates it once per
 // rack-day and hands the value to DeviceHazard or RackHazard for each
-// component.
-func (m *Model) CommonMultiplier(rack *topology.Rack, day int) float64 {
+// component. A day outside the demand model's window is an error.
+func (m *Model) CommonMultiplier(rack *topology.Rack, day int) (float64, error) {
+	u, err := m.Demand.Utilization(rack.Workload, day)
+	if err != nil {
+		return 0, err
+	}
 	p := &m.P
 	mult := p.DCRegion[rack.DC][rack.Region]
-	if u, err := m.demandUtilization(rack.Workload, day); err == nil {
-		mult *= stressMultiplier(u)
-	} else if calendar.IsWeekend(day) {
-		mult *= p.Weekend
-	} else {
-		mult *= p.Weekday
-	}
+	mult *= stressMultiplier(u)
 	mult *= p.Month[calendar.Month(day)]
 	mult *= p.Workload[rack.Workload]
 	mult *= p.SKU[rack.SKU]
@@ -200,18 +179,7 @@ func (m *Model) CommonMultiplier(rack *topology.Rack, day int) float64 {
 		mult *= 1 + (rack.PowerKW-p.PowerKnee)*p.PowerSlope
 	}
 	mult *= m.Bathtub(rack.AgeMonths(day))
-	return mult
-}
-
-// errNoDemand signals that no demand model is attached.
-var errNoDemand = fmt.Errorf("failure: no demand model")
-
-// demandUtilization fetches utilization from the demand model if present.
-func (m *Model) demandUtilization(wl topology.Workload, day int) (float64, error) {
-	if m.Demand == nil {
-		return 0, errNoDemand
-	}
-	return m.Demand.Utilization(wl, day)
+	return mult, nil
 }
 
 // stressMultiplier converts utilization into a hazard multiplier:
@@ -311,17 +279,20 @@ func (m *Model) RackHazard(c Component, rack *topology.Rack, common float64, con
 //     the storage-workload clusters;
 //   - compute-class racks: driven by DC and region — matching the
 //     paper's finding that spatial features dominate compute clusters.
-func (m *Model) ShockProbability(rack *topology.Rack, day int) float64 {
+//
+// A commissioned rack-day outside the demand model's window is an error.
+func (m *Model) ShockProbability(rack *topology.Rack, day int) (float64, error) {
 	if day < rack.CommissionDay {
-		return 0
+		return 0, nil
 	}
-	g := 1.0
 	// Batch failures are load-triggered too (firmware storms and PSU
 	// trips cluster at peak demand), so the weekday effect (Fig 3)
 	// survives even where shocks dominate the event counts.
-	if u, err := m.demandUtilization(rack.Workload, day); err == nil {
-		g *= stressMultiplier(u)
+	u, err := m.Demand.Utilization(rack.Workload, day)
+	if err != nil {
+		return 0, err
 	}
+	g := stressMultiplier(u)
 	spec := m.Fleet.SKUs[rack.SKU]
 	if spec.Class == "storage" {
 		age := rack.AgeMonths(day)
@@ -344,7 +315,7 @@ func (m *Model) ShockProbability(rack *topology.Rack, day int) float64 {
 			g *= 1.0
 		}
 	}
-	return m.P.ShockBase * g
+	return m.P.ShockBase * g, nil
 }
 
 // ShockSeverity returns the expected fraction of the rack's servers

@@ -6,15 +6,44 @@ import (
 	"rainshine/internal/climate"
 	"rainshine/internal/rng"
 	"rainshine/internal/topology"
+	"rainshine/internal/workload"
 )
+
+// testDays is the window of testModel's demand model.
+const testDays = 365
 
 func testModel(t *testing.T) *Model {
 	t.Helper()
-	fleet, err := topology.Build(rng.New(1), topology.Config{})
+	src := rng.New(1)
+	fleet, err := topology.Build(src, topology.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(fleet, DefaultParams())
+	demand, err := workload.New(src.Split("workload"), testDays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(fleet, DefaultParams(), demand)
+}
+
+// common is m.CommonMultiplier on a day inside the demand window.
+func common(t *testing.T, m *Model, rack *topology.Rack, day int) float64 {
+	t.Helper()
+	v, err := m.CommonMultiplier(rack, day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// shock is m.ShockProbability on a day inside the demand window.
+func shock(t *testing.T, m *Model, rack *topology.Rack, day int) float64 {
+	t.Helper()
+	p, err := m.ShockProbability(rack, day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func mild() climate.Conditions { return climate.Conditions{TempF: 68, RH: 45} }
@@ -84,33 +113,48 @@ func TestCommonMultiplierFactors(t *testing.T) {
 	m := testModel(t)
 	base := topology.Rack{DC: 1, Region: 0, SKU: topology.S5, Workload: topology.W1, PowerKW: 8, CommissionDay: -365}
 	// Weekday (day 2 = Tue) vs weekend (day 0 = Sun).
-	wk := m.CommonMultiplier(&base, 2)
-	we := m.CommonMultiplier(&base, 0)
+	wk := common(t, m, &base, 2)
+	we := common(t, m, &base, 0)
 	if wk <= we {
 		t.Errorf("weekday %v <= weekend %v", wk, we)
 	}
 	// DC1 hot region exceeds DC2 for an otherwise identical rack, same day.
 	hot := base
 	hot.DC, hot.Region = 0, 0
-	if m.CommonMultiplier(&hot, 2) <= m.CommonMultiplier(&base, 2) {
+	if common(t, m, &hot, 2) <= common(t, m, &base, 2) {
 		t.Error("DC1 region 0 should exceed DC2 region 0")
 	}
 	// Power above the knee raises hazard.
 	dense := base
 	dense.PowerKW = 15
-	if m.CommonMultiplier(&dense, 2) <= m.CommonMultiplier(&base, 2) {
+	if common(t, m, &dense, 2) <= common(t, m, &base, 2) {
 		t.Error("15kW rack should exceed 8kW rack")
 	}
 	// W2 > W3.
 	w2, w3 := base, base
 	w2.Workload, w3.Workload = topology.W2, topology.W3
-	if m.CommonMultiplier(&w2, 2) <= m.CommonMultiplier(&w3, 2) {
+	if common(t, m, &w2, 2) <= common(t, m, &w3, 2) {
 		t.Error("W2 should exceed W3")
 	}
 	// Second half of year exceeds first (same weekday: day 9 = Mon Jan,
 	// day 247 = Mon Sep 2012).
-	if m.CommonMultiplier(&base, 247) <= m.CommonMultiplier(&base, 9) {
+	if common(t, m, &base, 247) <= common(t, m, &base, 9) {
 		t.Error("September should exceed January")
+	}
+}
+
+// TestDayOutsideDemandWindow: the hazard has one temporal model, the
+// demand model's; a day outside its window is an error, not a fallback.
+func TestDayOutsideDemandWindow(t *testing.T) {
+	m := testModel(t)
+	rack := topology.Rack{DC: 1, SKU: topology.S5, Workload: topology.W1, PowerKW: 8, CommissionDay: -365}
+	for _, day := range []int{-1, testDays} {
+		if _, err := m.CommonMultiplier(&rack, day); err == nil {
+			t.Errorf("CommonMultiplier on day %d: no error", day)
+		}
+		if _, err := m.ShockProbability(&rack, day); err == nil {
+			t.Errorf("ShockProbability on day %d: no error", day)
+		}
 	}
 }
 
@@ -145,21 +189,21 @@ func TestDeviceAndRackHazard(t *testing.T) {
 	m := testModel(t)
 	rack := &m.Fleet.Racks[0]
 	day := 100
-	common := m.CommonMultiplier(rack, day)
+	mult := common(t, m, rack, day)
 	for c := Disk; c < NumComponents; c++ {
-		dh := m.DeviceHazard(c, common, mild())
+		dh := m.DeviceHazard(c, mult, mild())
 		if dh <= 0 || dh > 0.01 {
 			t.Errorf("%v device hazard = %v out of sane range", c, dh)
 		}
 	}
 	// Rack hazard = device hazard x device count.
-	dh := m.DeviceHazard(Disk, common, mild())
-	rh := m.RackHazard(Disk, rack, common, mild())
+	dh := m.DeviceHazard(Disk, mult, mild())
+	rh := m.RackHazard(Disk, rack, mult, mild())
 	if want := dh * float64(rack.Disks()); rh != want {
 		t.Errorf("rack hazard %v != %v", rh, want)
 	}
-	rhS := m.RackHazard(ServerOther, rack, common, mild())
-	if want := m.DeviceHazard(ServerOther, common, mild()) * float64(rack.Servers); rhS != want {
+	rhS := m.RackHazard(ServerOther, rack, mult, mild())
+	if want := m.DeviceHazard(ServerOther, mult, mild()) * float64(rack.Servers); rhS != want {
 		t.Errorf("server rack hazard %v != %v", rhS, want)
 	}
 }
@@ -167,10 +211,10 @@ func TestDeviceAndRackHazard(t *testing.T) {
 func TestPreCommissionNoHazard(t *testing.T) {
 	m := testModel(t)
 	rack := topology.Rack{DC: 0, Region: 0, SKU: topology.S1, Workload: topology.W6, PowerKW: 8, CommissionDay: 500, Servers: 20, DisksPerServer: 12, DIMMsPerServer: 8}
-	if h := m.DeviceHazard(Disk, m.CommonMultiplier(&rack, 100), mild()); h != 0 {
+	if h := m.DeviceHazard(Disk, common(t, m, &rack, 100), mild()); h != 0 {
 		t.Errorf("pre-commission hazard = %v, want 0", h)
 	}
-	if p := m.ShockProbability(&rack, 100); p != 0 {
+	if p := shock(t, m, &rack, 100); p != 0 {
 		t.Errorf("pre-commission shock prob = %v, want 0", p)
 	}
 }
@@ -182,16 +226,16 @@ func TestShockStructure(t *testing.T) {
 	// low-power S1.
 	bad := topology.Rack{DC: 1, Region: 0, SKU: topology.S3, Workload: topology.W6, PowerKW: 12, CommissionDay: day - 55*30}
 	good := topology.Rack{DC: 1, Region: 0, SKU: topology.S1, Workload: topology.W6, PowerKW: 6, CommissionDay: day - 24*30}
-	if m.ShockProbability(&bad, day) < 5*m.ShockProbability(&good, day) {
+	if shock(t, m, &bad, day) < 5*shock(t, m, &good, day) {
 		t.Errorf("storage shock contrast too weak: %v vs %v",
-			m.ShockProbability(&bad, day), m.ShockProbability(&good, day))
+			shock(t, m, &bad, day), shock(t, m, &good, day))
 	}
 	// Compute: DC1 region0 racks shock more than DC2.
 	hot := topology.Rack{DC: 0, Region: 0, SKU: topology.S2, Workload: topology.W1, PowerKW: 13, CommissionDay: day - 700}
 	cool := topology.Rack{DC: 1, Region: 1, SKU: topology.S4, Workload: topology.W1, PowerKW: 13, CommissionDay: day - 700}
-	if m.ShockProbability(&hot, day) < 3*m.ShockProbability(&cool, day) {
+	if shock(t, m, &hot, day) < 3*shock(t, m, &cool, day) {
 		t.Errorf("compute shock contrast too weak: %v vs %v",
-			m.ShockProbability(&hot, day), m.ShockProbability(&cool, day))
+			shock(t, m, &hot, day), shock(t, m, &cool, day))
 	}
 	// Severity: storage shocks are bigger than compute shocks.
 	if m.ShockSeverity(&bad) <= m.ShockSeverity(&hot) {

@@ -18,28 +18,38 @@ import (
 // day-close the shell plus the committed records is byte-equivalent to
 // the Result a batch run would have produced over the same data.
 //
-// Shell consumes exactly the RNG splits RunContext consumes for the
-// same structures ("topology", "workload"), so a shell built from a
-// config is guaranteed to carry the same fleet and hazard surface as
-// the batch run with that config.
+// Shell and RunContext both build that substrate through substrate, so
+// a shell built from a config carries the same fleet and hazard surface
+// as the batch run with that config.
 func Shell(cfg Config) (*Result, error) {
+	res, _, err := substrate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if res.Climate, err = climate.Empty(len(res.Fleet.Racks), res.Days); err != nil {
+		return nil, fmt.Errorf("simulate: building empty climate: %w", err)
+	}
+	return res, nil
+}
+
+// substrate applies cfg's defaults and builds the fleet and its hazard
+// model from the "topology" and "workload" splits of the seed's root
+// source. It returns them in a Result without climate, events or
+// tickets, along with the root source for the rest of a run.
+func substrate(cfg Config) (*Result, *rng.Source, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Days < 1 {
-		return nil, errors.New("simulate: non-positive day count")
+		return nil, nil, errors.New("simulate: non-positive day count")
 	}
 	root := rng.New(cfg.Seed)
 	fleet, err := topology.Build(root.Split("topology"), cfg.Topology)
 	if err != nil {
-		return nil, fmt.Errorf("simulate: building fleet: %w", err)
-	}
-	clim, err := climate.Empty(len(fleet.Racks), cfg.Days)
-	if err != nil {
-		return nil, fmt.Errorf("simulate: building empty climate: %w", err)
+		return nil, nil, fmt.Errorf("simulate: building fleet: %w", err)
 	}
 	demand, err := workload.New(root.Split("workload"), cfg.Days)
 	if err != nil {
-		return nil, fmt.Errorf("simulate: building demand model: %w", err)
+		return nil, nil, fmt.Errorf("simulate: building demand model: %w", err)
 	}
-	hz := failure.NewWithDemand(fleet, failure.DefaultParams(), demand)
-	return &Result{Cfg: cfg, Fleet: fleet, Climate: clim, Hazard: hz, Days: cfg.Days}, nil
+	hz := failure.New(fleet, failure.DefaultParams(), demand)
+	return &Result{Cfg: cfg, Fleet: fleet, Hazard: hz, Days: cfg.Days}, root, nil
 }

@@ -14,7 +14,6 @@ package simulate
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -26,7 +25,6 @@ import (
 	"rainshine/internal/rng"
 	"rainshine/internal/ticket"
 	"rainshine/internal/topology"
-	"rainshine/internal/workload"
 )
 
 // Config parameterizes a simulation run.
@@ -150,15 +148,11 @@ func Run(cfg Config) (*Result, error) {
 // simulation within one rack's worth of work. A canceled run returns
 // ctx's error; partial results are never returned.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Days < 1 {
-		return nil, errors.New("simulate: non-positive day count")
-	}
-	root := rng.New(cfg.Seed)
-	fleet, err := topology.Build(root.Split("topology"), cfg.Topology)
+	res, root, err := substrate(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("simulate: building fleet: %w", err)
+		return nil, err
 	}
+	cfg, fleet := res.Cfg, res.Fleet
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -169,13 +163,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simulate: building climate: %w", err)
 	}
-	demand, err := workload.New(root.Split("workload"), cfg.Days)
-	if err != nil {
-		return nil, fmt.Errorf("simulate: building demand model: %w", err)
-	}
-	hz := failure.NewWithDemand(fleet, failure.DefaultParams(), demand)
-
-	res := &Result{Cfg: cfg, Fleet: fleet, Climate: clim, Hazard: hz, Days: cfg.Days}
+	res.Climate = clim
 
 	// Racks are independent given their pre-split RNG streams: fan them
 	// across the pool. Each rack owns its slot of perRack, and the merge
@@ -266,7 +254,10 @@ func simulateRack(res *Result, rack *topology.Rack, src *rng.Source) ([]Event, e
 		if err != nil {
 			return nil, err
 		}
-		common := hz.CommonMultiplier(rack, day)
+		common, err := hz.CommonMultiplier(rack, day)
+		if err != nil {
+			return nil, err
+		}
 		for c := failure.Disk; c < failure.NumComponents; c++ {
 			lambda := hz.RackHazard(c, rack, common, cond)
 			n := dist.Poisson{Lambda: lambda}.SampleInt(src)
@@ -289,7 +280,11 @@ func simulateRack(res *Result, rack *topology.Rack, src *rng.Source) ([]Event, e
 		// cover at 2% of a server's cost. Failures trickle across the
 		// day, so hourly spare pools multiplex what daily pools cannot
 		// (Fig 10 vs Fig 12).
-		if src.Float64() < hz.ShockProbability(rack, day) {
+		shock, err := hz.ShockProbability(rack, day)
+		if err != nil {
+			return nil, err
+		}
+		if src.Float64() < shock {
 			sev := hz.ShockSeverity(rack) * (0.5 + src.Float64())
 			if sev > 0.9 {
 				sev = 0.9

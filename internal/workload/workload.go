@@ -48,7 +48,7 @@ func DefaultProfiles() map[topology.Workload]Profile {
 // Model precomputes per-class daily utilization series.
 type Model struct {
 	days int
-	util map[topology.Workload][]float64
+	util [topology.NumWorkloads][]float64 // indexed by class
 }
 
 // New builds utilization series for every workload class over the
@@ -57,7 +57,7 @@ func New(src *rng.Source, days int) (*Model, error) {
 	if days <= 0 {
 		return nil, fmt.Errorf("workload: non-positive days %d", days)
 	}
-	m := &Model{days: days, util: make(map[topology.Workload][]float64)}
+	m := &Model{days: days}
 	for wl, p := range DefaultProfiles() {
 		wsrc := src.SplitIndex("workload/class", int(wl))
 		series := make([]float64, days)
@@ -79,14 +79,13 @@ func New(src *rng.Source, days int) (*Model, error) {
 
 // Utilization returns the class's utilization on the day.
 func (m *Model) Utilization(wl topology.Workload, day int) (float64, error) {
-	series, ok := m.util[wl]
-	if !ok {
+	if wl < 0 || wl >= topology.NumWorkloads {
 		return 0, fmt.Errorf("workload: unknown class %v", wl)
 	}
 	if day < 0 || day >= m.days {
 		return 0, fmt.Errorf("workload: day %d out of range [0,%d)", day, m.days)
 	}
-	return series[day], nil
+	return m.util[wl][day], nil
 }
 
 func clamp01(v float64) float64 {
