@@ -169,12 +169,11 @@ func (r *renderer) figure(n int) error {
 	case 9:
 		return simpleBars("Fig 9: avg failure rate by equipment age (months)", d.Fig9)
 	case 10, 12:
-		cells, err := d.Fig10()
-		title := "Fig 10: over-provisioned capacity %, daily granularity"
+		fig, title := d.Fig10, "Fig 10: over-provisioned capacity %, daily granularity"
 		if n == 12 {
-			cells, err = d.Fig12()
-			title = "Fig 12: over-provisioned capacity %, hourly granularity"
+			fig, title = d.Fig12, "Fig 12: over-provisioned capacity %, hourly granularity"
 		}
+		cells, err := fig()
 		if err != nil {
 			return err
 		}
@@ -205,12 +204,11 @@ func (r *renderer) figure(n int) error {
 		r.printf("Fig 13: spare cost %% of fleet cost, 100%% SLA daily\n%s",
 			textplot.Table([]string{"Workload", "Scheme", "Approach", "Cost %"}, rows))
 	case 14, 15:
-		bars, err := d.Fig14()
-		title := "Fig 14: SKU comparison, SF view (normalized)"
+		fig, title := d.Fig14, "Fig 14: SKU comparison, SF view (normalized)"
 		if n == 15 {
-			bars, err = d.Fig15()
-			title = "Fig 15: SKU comparison, MF view (normalized)"
+			fig, title = d.Fig15, "Fig 15: SKU comparison, MF view (normalized)"
 		}
+		bars, err := fig()
 		if err != nil {
 			return err
 		}
