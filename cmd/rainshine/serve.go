@@ -65,7 +65,7 @@ func parseServeFlags(args []string) (serveConfig, error) {
 	maxQueue := fs.Int("max-queue", 512,
 		"extra requests allowed to wait for a slot before shedding 429 (0 = shed immediately)")
 	q3Concurrent := fs.Int("q3-concurrent", 32,
-		"concurrently served /v1/q3 grid requests (the expensive class, shed first)")
+		"concurrently served /v1/q3 requests (the class of each study's first Climate fit, shed first)")
 	q3Queue := fs.Int("q3-queue", 64,
 		"q3 wait-queue depth before shedding 429 (0 = shed immediately)")
 	rps := fs.Float64("rps", 0,

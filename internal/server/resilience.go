@@ -18,10 +18,11 @@ type ResilienceConfig struct {
 	// before shedding (default 512).
 	MaxConcurrent int
 	MaxQueue      int
-	// Q3Concurrent / Q3Queue are the same bounds for /v1/q3, the
-	// expensive grid endpoint. They are deliberately smaller (defaults
-	// 32 / 64): under overload the daemon sheds q3 grid work first and
-	// keeps serving cheap cached reads.
+	// Q3Concurrent / Q3Queue are the same bounds for /v1/q3. A warm q3
+	// read is a memo read; what the class bounds is each study's first
+	// Climate fit, which a q3 read on an unwarmed study runs. They are
+	// deliberately smaller (defaults 32 / 64): under overload the
+	// daemon sheds q3 first and keeps serving the other reads.
 	Q3Concurrent int
 	Q3Queue      int
 	// RPS caps admitted requests per second across all /v1 endpoints
@@ -71,7 +72,7 @@ func (rc ResilienceConfig) withDefaults() ResilienceConfig {
 // admission holds the server's assembled overload controls.
 type admission struct {
 	api  *resilience.Limiter     // every /v1 endpoint except q3
-	q3   *resilience.Limiter     // the expensive grid endpoint
+	q3   *resilience.Limiter     // /v1/q3: each study's first Climate fit
 	rate *resilience.TokenBucket // global, nil = unlimited
 }
 
